@@ -6,16 +6,19 @@ offending token rather than at the compiler internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A (line, column) position in a source buffer.
 
     Lines and columns are 1-based, matching what editors display.
     ``filename`` defaults to ``"<input>"`` for programs compiled from
     strings, which is the common case in tests and benchmarks.
+
+    The lexer builds one per token, so this is a tuple (cheap to build,
+    immutable, hashable) rather than a frozen dataclass; equality still
+    holds only between locations, never with a plain tuple.
     """
 
     line: int
@@ -24,6 +27,14 @@ class SourceLocation:
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SourceLocation and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 UNKNOWN_LOCATION = SourceLocation(0, 0, "<unknown>")

@@ -1,18 +1,27 @@
-"""Hand-written lexer for the C-like language.
+"""Master-regex lexer for the C-like language.
 
-A table-free scanner keeps the error messages precise and avoids regex
-backtracking surprises on large machine-generated workloads.
+One compiled regular expression matches a run of layout (whitespace,
+``//`` and ``/* */`` comments) followed by exactly one token, its kind
+named by the alternative that matched, and :func:`tokenize` steps it
+through the source match by match.  The scan is linear: the block-comment
+pattern never backtracks, and the last two alternatives (end of input,
+any single character) make every match succeed once the layout is
+consumed, so the engine never re-splits layout it has skipped.  Lines
+advance only across skipped layout, the one place a newline can occur;
+a column is the offset from the start of the current line.
+
+Text that starts no token (a stray character, a malformed or
+letter-glued literal, an unterminated comment) raises :class:`LexError`
+at the offending character or literal, via :func:`_lex_error`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import List
 
 from .errors import LexError, SourceLocation
-from .tokens import BASE_TYPE_NAMES, KEYWORDS, Token, TokenKind
-
-_SIZED_TYPE_RE = re.compile(r"^(u?int)([1-9][0-9]*)$")
+from .tokens import BASE_TYPES, KEYWORDS, Token, TokenKind
 
 # Multi-character operators, longest first so maximal munch works.
 _OPERATORS = [
@@ -60,135 +69,138 @@ _OPERATORS = [
     ("?", TokenKind.QUESTION),
     (":", TokenKind.COLON),
 ]
+_OPERATOR_KINDS = dict(_OPERATORS)
 
+# Keywords and base type names: word text -> (kind, type_info).
+_WORDS = {text: (kind, None) for text, kind in KEYWORDS.items()}
+_WORDS.update((text, (TokenKind.TYPE_NAME, info)) for text, info in BASE_TYPES.items())
+# ``intN``/``uintN`` name a sized type for 1 <= N <= 128; the pattern
+# reads at most three width digits, and any longer spelling is an
+# identifier.
+_MAX_SIZED_WIDTH = 128
 
-class Lexer:
-    """Converts source text into a token stream."""
-
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        start = self._location()
-        text_start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF_":
-                self._advance()
-            text = self.source[text_start : self.pos]
-            digits = text[2:].replace("_", "")
-            if not digits:
-                raise LexError(f"malformed hex literal {text!r}", start)
-            value = int(digits, 16)
-        elif self._peek() == "0" and self._peek(1) in "bB":
-            self._advance(2)
-            while self._peek() and self._peek() in "01_":
-                self._advance()
-            text = self.source[text_start : self.pos]
-            digits = text[2:].replace("_", "")
-            if not digits:
-                raise LexError(f"malformed binary literal {text!r}", start)
-            value = int(digits, 2)
-        else:
-            while self._peek().isdigit() or self._peek() == "_":
-                self._advance()
-            text = self.source[text_start : self.pos]
-            value = int(text.replace("_", ""))
-        if self._peek().isalpha():
-            raise LexError(
-                f"invalid character {self._peek()!r} after number {text!r}", start
-            )
-        return Token(TokenKind.INT_LIT, text, start, value=value)
-
-    def _lex_word(self) -> Token:
-        start = self._location()
-        text_start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[text_start : self.pos]
-        if text in KEYWORDS:
-            return Token(KEYWORDS[text], text, start)
-        if text in BASE_TYPE_NAMES:
-            info = {
-                "void": None,
-                "bool": None,
-                "int": (32, True),
-                "uint": (32, False),
-                "char": (8, True),
-            }[text]
-            return Token(TokenKind.TYPE_NAME, text, start, type_info=info)
-        sized = _SIZED_TYPE_RE.match(text)
-        if sized:
-            width = int(sized.group(2))
-            if 1 <= width <= 128:
-                signed = sized.group(1) == "int"
-                return Token(TokenKind.TYPE_NAME, text, start, type_info=(width, signed))
-        return Token(TokenKind.IDENT, text, start)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens, ending with a single EOF token."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token(TokenKind.EOF, "", self._location())
-                return
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._lex_word()
-            else:
-                location = self._location()
-                for text, kind in _OPERATORS:
-                    if self.source.startswith(text, self.pos):
-                        self._advance(len(text))
-                        yield Token(kind, text, location)
-                        break
-                else:
-                    raise LexError(f"unexpected character {ch!r}", location)
+# Identifiers start with a letter (``str.isalpha``) or ``_`` and continue
+# with ``str.isalnum`` characters or ``_`` — exactly ``\w``.  Integer
+# literals are ASCII only.  A literal may not run into a letter; the
+# lookahead also refuses a shorter backtracked literal, so "12g" fails as
+# a whole instead of lexing "1".
+_NOT_AFTER_NUMBER = r"(?![0-9]|[^\W\d])"
+_LAYOUT = r"(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)*"
+_TOKEN_RE = re.compile(
+    _LAYOUT
+    + "(?:"
+    + "|".join([
+        r"(?P<sized>u?int[1-9][0-9]{0,2})(?!\w)",
+        r"(?P<word>[A-Za-z_]\w*)",
+        r"(?P<unterminated>/\*)",
+        r"(?P<operator>"
+        + "|".join(re.escape(text) for text, _ in
+                   sorted(_OPERATORS, key=lambda op: -len(op[0])))
+        + ")",
+        r"(?P<decimal>[0-9][0-9_]*)" + _NOT_AFTER_NUMBER,
+        r"(?P<hex>0[xX]_*[0-9a-fA-F][0-9a-fA-F_]*)" + _NOT_AFTER_NUMBER,
+        r"(?P<binary>0[bB]_*[01][01_]*)(?![01]|[^\W\d])",  # "0b12" is 0b1, 2
+        r"(?P<unicode_word>[^\W\d]\w*)",
+        r"(?P<eof>\Z)",
+        r"(?P<error>[\s\S])",
+    ])
+    + ")"
+)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Tokenize ``source`` completely; convenience wrapper used by tests."""
-    return list(Lexer(source, filename).tokens())
+    """Tokenize ``source`` completely, ending with a single EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    location_of = SourceLocation._make
+    match = _TOKEN_RE.match
+    IDENT = TokenKind.IDENT
+    INT_LIT = TokenKind.INT_LIT
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    pos = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastgroup
+        start = m.start(group)
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        text = m.group(group)
+        location = location_of((line, start - line_start + 1, filename))
+        if group == "operator":
+            append(Token(_OPERATOR_KINDS[text], text, location))
+        elif group == "word":
+            known = _WORDS.get(text)
+            if known is None:
+                append(Token(IDENT, text, location))
+            else:
+                append(Token(known[0], text, location, None, known[1]))
+        elif group == "decimal":
+            try:
+                value = int(text.replace("_", ""))
+            except ValueError:  # beyond sys.get_int_max_str_digits()
+                raise LexError(
+                    f"integer literal too long ({len(text)} characters)",
+                    location) from None
+            append(Token(INT_LIT, text, location, value))
+        elif group == "eof":
+            append(Token(TokenKind.EOF, "", location))
+            return tokens
+        elif group == "sized":
+            signed = text[0] == "i"
+            width = int(text[3:] if signed else text[4:])
+            if width <= _MAX_SIZED_WIDTH:
+                append(Token(TokenKind.TYPE_NAME, text, location, None,
+                             (width, signed)))
+            else:
+                append(Token(IDENT, text, location))
+        elif group == "hex":
+            value = int(text[2:].replace("_", ""), 16)
+            append(Token(INT_LIT, text, location, value))
+        elif group == "binary":
+            value = int(text[2:].replace("_", ""), 2)
+            append(Token(INT_LIT, text, location, value))
+        elif group == "unicode_word" and text[0].isalpha():
+            append(Token(IDENT, text, location))
+        elif group == "unterminated":
+            raise LexError("unterminated block comment", location)
+        else:
+            raise _lex_error(source, start, location)
+        pos = m.end()
+
+
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F_]*")
+_BINARY_DIGITS = re.compile(r"[01_]*")
+_DECIMAL_DIGITS = re.compile(r"[0-9_]*")
+
+
+def _lex_error(source: str, start: int, location: SourceLocation) -> LexError:
+    """The diagnostic for the text at ``start`` that no token matches."""
+    ch = source[start]
+    if not "0" <= ch <= "9":
+        return LexError(f"unexpected character {ch!r}", location)
+    prefix = source[start:start + 2]
+    if prefix in ("0x", "0X"):
+        text = prefix + _HEX_DIGITS.match(source, start + 2).group()
+        if not text[2:].replace("_", ""):
+            return LexError(f"malformed hex literal {text!r}", location)
+    elif prefix in ("0b", "0B"):
+        text = prefix + _BINARY_DIGITS.match(source, start + 2).group()
+        if not text[2:].replace("_", ""):
+            return LexError(f"malformed binary literal {text!r}", location)
+    else:
+        text = _DECIMAL_DIGITS.match(source, start).group()
+    after = source[start + len(text)]
+    if after.isalpha():
+        return LexError(
+            f"invalid character {after!r} after number {text!r}", location
+        )
+    # A word character that is not a letter (a superscript digit, a
+    # vulgar fraction, ...) ends the literal and starts no token.
+    return LexError(
+        f"unexpected character {after!r}",
+        location._replace(column=location.column + len(text)),
+    )

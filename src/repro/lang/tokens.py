@@ -110,8 +110,15 @@ KEYWORDS = {
     "process": TokenKind.KW_PROCESS,
 }
 
-# Base type names; sized variants (uint7, int12) are matched by the lexer.
-BASE_TYPE_NAMES = {"void", "bool", "int", "uint", "char"}
+# Base type names and their (width, signed) type info, None for types
+# without a width; sized variants (uint7, int12) are matched by the lexer.
+BASE_TYPES = {
+    "void": None,
+    "bool": None,
+    "int": (32, True),
+    "uint": (32, False),
+    "char": (8, True),
+}
 
 
 @dataclass

@@ -515,13 +515,8 @@ async def amain(config: ServeConfig) -> int:
     """Run a server until SIGTERM/SIGINT, then drain; the CLI entry."""
     server = SynthesisServer(config)
     await server.start()
-    cache_note = "off" if server.cache is None else str(server.cache.root)
-    print(
-        f"repro-serve: listening on http://{server.host}:{server.port}"
-        f" (jobs={config.jobs}, queue={config.queue_limit},"
-        f" cache={cache_note})",
-        flush=True,
-    )
+    # Install the drain handlers before announcing the port: a supervisor
+    # may signal as soon as it reads the listening line.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signame in ("SIGTERM", "SIGINT"):
@@ -532,6 +527,13 @@ async def amain(config: ServeConfig) -> int:
             loop.add_signal_handler(signum, stop.set)
         except NotImplementedError:  # non-POSIX event loops
             pass
+    cache_note = "off" if server.cache is None else str(server.cache.root)
+    print(
+        f"repro-serve: listening on http://{server.host}:{server.port}"
+        f" (jobs={config.jobs}, queue={config.queue_limit},"
+        f" cache={cache_note})",
+        flush=True,
+    )
     await stop.wait()
     print("repro-serve: draining...", flush=True)
     await server.drain()

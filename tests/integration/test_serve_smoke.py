@@ -91,3 +91,18 @@ def test_smoke_duplicate_heavy_load_then_clean_drain(server):
     tail = proc.stdout.read()
     assert rc == 0, tail
     assert "drained cleanly" in tail, tail
+
+
+def test_sigterm_right_after_listen_line_still_drains(server):
+    # A supervisor may signal the moment the server announces its port;
+    # the drain handlers must already be installed by then.
+    proc, _, _ = server
+    proc.send_signal(signal.SIGTERM)
+    try:
+        rc = proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        pytest.fail("server did not drain within 30s of SIGTERM")
+    tail = proc.stdout.read()
+    assert rc == 0, tail
+    assert "drained cleanly" in tail, tail

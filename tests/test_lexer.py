@@ -140,3 +140,82 @@ def test_hardware_keywords():
         TokenKind.KW_WITHIN, TokenKind.KW_PROCESS,
     ]
     assert kinds(text) == expected
+
+
+def test_trailing_zero_is_a_literal():
+    # The last character of the source used to be mistaken for the start
+    # of a hex prefix ("malformed hex literal '0'").
+    tokens = tokenize("x = 0")
+    assert [t.kind for t in tokens] == [
+        TokenKind.IDENT, TokenKind.ASSIGN, TokenKind.INT_LIT, TokenKind.EOF
+    ]
+    assert tokens[2].value == 0
+    assert tokenize("0")[0].value == 0
+
+
+def test_trailing_zero_source_normalizes_by_tokens():
+    from repro.runner.cache import normalized_source
+
+    assert normalized_source("x = 0") == normalized_source("x=0 // zero")
+    assert not normalized_source("x = 0").startswith("raw:")
+
+
+@pytest.mark.parametrize("source, column, char", [
+    ("int x = ²;", 9, "²"),       # a digit, but not a decimal one
+    ("int x = ٣;", 9, "٣"),       # a decimal digit, but not ASCII
+    ("int x = 1٣;", 10, "٣"),
+    ("int x = 1²;", 10, "²"),
+])
+def test_non_ascii_digits_are_unexpected_characters(source, column, char):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert info.value.message == f"unexpected character {char!r}"
+    assert (info.value.location.line, info.value.location.column) == (1, column)
+
+
+def test_non_ascii_digit_source_falls_back_to_raw_key():
+    from repro.runner.cache import normalized_source
+
+    assert normalized_source("int x = ²;") == "raw:int x = ²;"
+
+
+def test_non_ascii_letters_still_form_identifiers():
+    tokens = tokenize("int é = 1;")
+    assert [(t.kind, t.text) for t in tokens[:2]] == [
+        (TokenKind.TYPE_NAME, "int"), (TokenKind.IDENT, "é")
+    ]
+    assert tokenize("a٣ x²")[0].text == "a٣"
+    assert tokenize("a٣ x²")[1].text == "x²"
+
+
+def test_error_messages_and_locations():
+    cases = [
+        ("a\n  /* open", "unterminated block comment", (2, 3)),
+        ("0x_;", "malformed hex literal '0x_'", (1, 1)),
+        ("0b2", "malformed binary literal '0b'", (1, 1)),
+        ("0x12g", "invalid character 'g' after number '0x12'", (1, 1)),
+        ("x = 12ab", "invalid character 'a' after number '12'", (1, 5)),
+        ("a\t$", "unexpected character '$'", (1, 3)),
+    ]
+    for source, message, (line, column) in cases:
+        with pytest.raises(LexError) as info:
+            tokenize(source, "k.c")
+        assert info.value.message == message
+        assert info.value.location.line == line
+        assert info.value.location.column == column
+        assert info.value.location.filename == "k.c"
+
+
+def test_overlong_decimal_literal_never_escapes_as_value_error():
+    digits = "9" * 5000
+    try:
+        tokens = tokenize("x = " + digits + ";")
+    except LexError as error:  # beyond sys.get_int_max_str_digits()
+        assert "integer literal too long" in error.message
+    else:  # an interpreter without the conversion limit
+        assert tokens[2].value == int(digits)
+
+
+def test_binary_literal_stops_before_other_digits():
+    tokens = tokenize("0b12")
+    assert [(t.text, t.value) for t in tokens[:2]] == [("0b1", 1), ("2", 2)]

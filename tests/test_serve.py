@@ -9,6 +9,8 @@ proofs); everything else exercises the runner's real cell worker.
 """
 
 import asyncio
+import os
+import signal
 import time
 
 import pytest
@@ -450,3 +452,27 @@ def test_check_flag_is_part_of_the_cache_key(tmp_path):
         assert server.stats.compiles == 2  # distinct identities, no reuse
 
     serve_test(make_server_config(tmp_path), body)
+
+
+def test_drain_handlers_are_installed_before_listen_line(tmp_path, monkeypatch,
+                                                        capsys):
+    import repro.serve.server as server_module
+
+    default = signal.getsignal(signal.SIGTERM)
+    seen = []
+
+    def announce(*args, **kwargs):
+        text = " ".join(str(a) for a in args)
+        if "listening on" in text:
+            installed = signal.getsignal(signal.SIGTERM) is not default
+            seen.append(installed)
+            if not installed:  # a SIGTERM now would kill without a drain
+                raise RuntimeError("listen line printed before drain handlers")
+            os.kill(os.getpid(), signal.SIGTERM)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "print", announce, raising=False)
+    rc = asyncio.run(server_module.amain(make_server_config(tmp_path)))
+    assert rc == 0
+    assert seen == [True]
+    assert "drained cleanly" in capsys.readouterr().out
