@@ -56,6 +56,7 @@ def lint(
     function: str = "main",
     filename: str = "<input>",
     extra_rules: Optional[Callable[[str], Sequence]] = None,
+    frontend=None,
 ) -> LintReport:
     """Lint ``source`` for one flow, an explicit list, or (default) every
     compilable flow in the registry.
@@ -63,7 +64,9 @@ def lint(
     ``extra_rules`` maps a flow key to additional :class:`Rule` instances to
     run after the registry's set — how the time-sensitive checking tier
     (``repro.analysis.timing.check``) layers TIM rules onto the same engine,
-    context caches, and crash isolation."""
+    context caches, and crash isolation.  ``frontend`` (a
+    :class:`~repro.lang.Frontend`) supplies a shared parse of ``source``;
+    rules only read the tree, so sharing it is safe."""
     # Imported lazily: flows.base imports this package for the shared
     # rule-id table, so a module-level import would be a cycle.
     from ...flows import registry
@@ -81,6 +84,8 @@ def lint(
 
     from ...lang import parse
 
+    if frontend is not None:
+        parse = frontend.parse
     try:
         program, info = parse(source, filename=filename)
     except FrontendError as error:

@@ -229,6 +229,7 @@ def synthesize(
     source: str,
     options: Optional[SynthesisOptions] = None,
     trace: Optional[TraceContext] = None,
+    frontend=None,
     **overrides,
 ) -> SynthesisResult:
     """Parse, check, and compile ``source`` under one option set.
@@ -237,10 +238,12 @@ def synthesize(
     (``synthesize(src, flow="cash")``); unknown keywords are per-flow
     compile options.  Pass ``trace`` to record into an existing context;
     otherwise ``options.trace`` decides whether a fresh one is created
-    (reachable afterwards as ``result.trace``).
+    (reachable afterwards as ``result.trace``).  Pass a
+    :class:`~repro.lang.Frontend` to compile from its shared parse of
+    ``source``; without one the source is parsed afresh.
     """
     from .flows.registry import get_flow
-    from .lang import analyze, parse_program
+    from .lang.frontend import frontend_phases
 
     options = SynthesisOptions.make(options, **overrides)
     if trace is None and options.trace:
@@ -252,13 +255,7 @@ def synthesize(
 
         with t.span("check", cat="phase"):
             enforce(source, options.flow, function=options.function)
-    with t.span("parse", cat="phase"):
-        program = parse_program(source)
-        if t.enabled:
-            t.count(functions=len(program.functions),
-                    processes=len(program.processes))
-    with t.span("semantic", cat="phase"):
-        info = analyze(program)
+    program, info = frontend_phases(source, trace=t, frontend=frontend)
     design = flow.compile(
         program, info, options.function, trace=trace, **options.flow_kwargs()
     )

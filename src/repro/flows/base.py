@@ -25,7 +25,6 @@ from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation, UNKNOWN_LOCATION
 from ..lang.semantic import SemanticInfo
 from ..rtl.tech import DEFAULT_TECH, Technology
-from ..trace import ensure_trace
 
 
 class FlowError(Exception):
@@ -283,13 +282,9 @@ class Flow(abc.ABC):
     def compile_source(
         self, source: str, function: str = "main", trace=None, **options
     ) -> CompiledDesign:
-        from ..lang import analyze, parse_program
+        from ..lang.frontend import frontend_phases
 
-        t = ensure_trace(trace)
-        with t.span("parse", cat="phase"):
-            program = parse_program(source)
-        with t.span("semantic", cat="phase"):
-            info = analyze(program)
+        program, info = frontend_phases(source, trace=trace)
         return self.compile(program, info, function, trace=trace, **options)
 
     def check_features(

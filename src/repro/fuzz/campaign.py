@@ -254,11 +254,12 @@ class _WorkItem:
     statements: int = 8       # generation size (pool entries inherit it)
 
 
-def plan_items(config) -> List[_WorkItem]:
+def plan_items(config, frontend=None) -> List[_WorkItem]:
     """The full deterministic work list for a fixed-profile campaign:
     pure function of (flows, seeds, seed_base, mutations) — plus, for a
     :class:`FuzzOptions` with a shard index, the shard split (each base
-    seed belongs to exactly one shard)."""
+    seed belongs to exactly one shard).  ``frontend`` is handed to
+    :func:`mutants` (the campaign passes its engine's)."""
     masks = all_masks(
         list(config.flows) if config.flows is not None else None
     )
@@ -291,6 +292,7 @@ def plan_items(config) -> List[_WorkItem]:
                     seed=seed,
                     count=config.mutations,
                     mask=mask,
+                    frontend=frontend,
                 )
             items.append(item)
     return items
@@ -396,11 +398,12 @@ def _tasks_for(
 
 def _classify_item(
     item: _WorkItem, results, stats: FlowStats, input_lanes: int = 1,
-    opt_levels: Tuple[int, ...] = (),
+    opt_levels: Tuple[int, ...] = (), frontend=None,
 ) -> List[Divergence]:
     """Judge one program (and its lanes, opt_level variants, and mutants)
     from its cell results, in :func:`_tasks_for` order: original, extra
-    input lanes, cross-level variants, then mutants."""
+    input lanes, cross-level variants, then mutants.  ``frontend`` is
+    the engine's, so lint reuses the cells' parse."""
     program = item.program
     original = results[0]
     lane_count = _lane_count(item, input_lanes)
@@ -424,7 +427,7 @@ def _classify_item(
 
     if program.is_boundary:
         stats.boundary_seeds += 1
-        report = lint(program.source, flow=program.flow)
+        report = lint(program.source, flow=program.flow, frontend=frontend)
         lint_dirty = not report.is_clean(program.flow)
         if original.verdict == REJECTED and lint_dirty:
             stats.expected_rejections += 1      # the paper's Table 1 working
@@ -595,7 +598,7 @@ def reduction_predicate(
 
     if kind == KIND_LINT_DISAGREE:
         def predicate(source: str) -> bool:
-            report = lint(source, flow=flow)
+            report = lint(source, flow=flow, frontend=engine.frontend)
             clean = report.is_clean(flow)
             result = run(source)
             compiled = result.verdict != REJECTED
@@ -761,7 +764,7 @@ def _fixed_pass(
     up front, batched through the engine.  This is the exact
     pre-coverage campaign — the deprecation shim's "same results"
     promise rests on this path staying byte-for-byte deterministic."""
-    items = plan_items(options)
+    items = plan_items(options, frontend=engine.frontend)
     for item in items:
         report.stats.setdefault(item.program.flow, FlowStats()).seeds += 1
 
@@ -775,7 +778,7 @@ def _fixed_pass(
             stats = report.stats[entry.program.flow]
             raw.extend(_classify_item(
                 entry, results[lo:hi], stats, options.input_lanes,
-                tuple(options.opt_levels),
+                tuple(options.opt_levels), frontend=engine.frontend,
             ))
 
     for item in items:
@@ -904,6 +907,7 @@ def _guided_pass(
                         seed=program.seed,
                         count=options.mutations + extra_mutants,
                         mask=mask,
+                        frontend=engine.frontend,
                     )
                 items.append(item)
 
@@ -913,7 +917,7 @@ def _guided_pass(
                 stats.seeds += 1
                 raw.extend(_classify_item(
                     item, results[lo:hi], stats, options.input_lanes,
-                    tuple(options.opt_levels),
+                    tuple(options.opt_levels), frontend=engine.frontend,
                 ))
                 signals: List[str] = []
                 for result in results[lo:hi]:

@@ -10,9 +10,13 @@ without the reference interpreter** (this is what makes the fuzzer useful
 on programs the interpreter cannot run, and doubles the differential
 surface on ones it can).
 
-Mutations parse the program, transform a copy, and pretty-print it back;
-a mutant that fails to re-parse is discarded (never emitted), so every
-mutant handed to the campaign is a valid program.
+Mutations take a private copy of the program's analyzed tree from a
+:class:`~repro.lang.Frontend` (one parse and one snapshot per source, one
+unpickled copy per attempt), transform it, and pretty-print it back; a
+mutant that fails to parse is discarded (never emitted), so every mutant
+handed to the campaign is a valid program.  Given the campaign engine's
+frontend, the parse of each kept mutant is the one its golden run and its
+cells reuse.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..lang import ast_nodes as ast
-from ..lang import parse
+from ..lang.frontend import Frontend
 from ..lang.pretty import print_program
 from ..lang.types import BoolType, IntType, PointerType
 from .masks import FeatureMask
@@ -377,6 +381,7 @@ def mutants(
     count: int = 3,
     mask: Optional[FeatureMask] = None,
     only: Optional[List[str]] = None,
+    frontend: Optional[Frontend] = None,
 ) -> List[Mutant]:
     """Up to ``count`` distinct valid mutants of ``source``, deterministic
     in ``(source, seed, count, only)``.  ``mask`` suppresses mutations that
@@ -384,9 +389,12 @@ def mutants(
     counted loop breaks Cones' static-bounds analysis, so it is skipped
     there).  ``only`` restricts the rotation to a subset of
     :data:`MUTATION_NAMES` — the coverage-guided scheduler's lever for
-    focusing mutation kinds on a hot parent."""
+    focusing mutation kinds on a hot parent.  ``frontend`` (default: a
+    private one) parses ``source`` and every candidate mutant."""
+    if frontend is None:
+        frontend = Frontend()
     try:
-        program, _ = parse(source)
+        frontend.parse(source)
     except Exception:
         return []
     rng = random.Random(seed)
@@ -407,16 +415,15 @@ def mutants(
         attempts += 1
         name = names[(seed + attempts) % len(names)]
         collect, apply = catalog[name]
-        # Re-parse for a fresh tree (mutations are destructive).
-        fresh, _ = parse(source)
-        sites = collect(fresh)
+        tree = frontend.fresh(source)
+        sites = collect(tree)
         if not sites:
             continue
         index = rng.randrange(len(sites))
         apply(sites[index], rng, len(out))
         try:
-            text = print_program(fresh)
-            parse(text)   # validity gate: discard anything that broke
+            text = print_program(tree)
+            frontend.parse(text)   # validity gate: discard anything that broke
         except Exception:
             continue
         if text in seen:

@@ -3,6 +3,7 @@
 The public surface is deliberately small:
 
 * :func:`parse` — source text to a type-checked AST plus semantic summary;
+* :class:`Frontend` — the same, memoized per owner (see :mod:`.frontend`);
 * the AST node classes in :mod:`repro.lang.ast_nodes`;
 * the type constructors in :mod:`repro.lang.types`;
 * :func:`print_program` — AST back to source text.
@@ -22,6 +23,7 @@ from .errors import (
     SemanticError,
     SourceLocation,
 )
+from .frontend import Frontend
 from .lexer import tokenize
 from .parser import parse_expression, parse_program
 from .pretty import print_program
@@ -61,6 +63,7 @@ __all__ = [
     "BoolType",
     "CHAR",
     "ChannelType",
+    "Frontend",
     "FrontendError",
     "FunctionType",
     "INT",

@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..lang.frontend import Frontend
 from .cache import ArtifactCache, cell_key, environment_salt
 from .cells import (
     ERROR,
@@ -78,14 +79,18 @@ class _Deadline:
         raise CellTimeout()
 
 
-def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
+def execute_cell(
+    payload: Dict[str, object], frontend=None
+) -> Dict[str, object]:
     """Compile, simulate, and judge one cell.  Module-level and dict-in /
     dict-out so it pickles across the process pool unchanged.
 
     ``payload`` carries the :class:`CellTask` fields plus ``expected`` (the
     golden model's canonical observable, or None when the reference
     interpreter could not run the program), ``timeout_s``, ``max_cycles``,
-    ``cache_key``, and ``trace`` (record phase spans into the result)."""
+    ``cache_key``, and ``trace`` (record phase spans into the result).
+    ``frontend`` (in-process cells only) supplies the shared parse of the
+    source; see :class:`~repro.lang.Frontend`."""
     import hashlib
 
     from ..api import synthesize
@@ -123,7 +128,8 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     try:
         with _Deadline(float(payload.get("timeout_s", 0.0))):
             compiled = synthesize(
-                task.source, task.synthesis_options(), trace=trace
+                task.source, task.synthesis_options(), trace=trace,
+                frontend=frontend,
             )
             run = compiled.run(
                 args=task.args,
@@ -183,7 +189,9 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     return result.to_dict()
 
 
-def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
+def execute_batch(
+    payload: Dict[str, object], frontend=None
+) -> List[Dict[str, object]]:
     """Compile once, simulate every lane, judge each like a scalar cell.
 
     The batched counterpart of :func:`execute_cell`: cells that share
@@ -193,7 +201,7 @@ def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
     synthesis, one ``run_batch``, one cost/Verilog pass; per-lane sim
     errors become per-lane ``error`` verdicts with the scalar backend's
     exact message instead of poisoning the batch.  Returns one result
-    dict per lane, in lane order."""
+    dict per lane, in lane order.  ``frontend`` as in :func:`execute_cell`."""
     import hashlib
 
     from ..api import synthesize
@@ -236,7 +244,8 @@ def execute_batch(payload: Dict[str, object]) -> List[Dict[str, object]]:
         # lane cannot eat the others' budget share.
         with _Deadline(timeout_s * max(len(lanes), 1)):
             compiled = synthesize(
-                task.source, task.synthesis_options(), trace=trace
+                task.source, task.synthesis_options(), trace=trace,
+                frontend=frontend,
             )
             outcomes = compiled.run_batch(
                 [tuple(lane.get("args", ())) for lane in lanes],
@@ -360,6 +369,11 @@ class MatrixEngine:
         Capture each cell's :meth:`SimProfile.coverage_stats` alongside
         the result (the fuzz campaign's coverage signal).  Same cache
         contract as ``trace``: hits written without stats recompute.
+
+    The engine owns one :class:`~repro.lang.Frontend` (``frontend``) for
+    its lifetime: the golden model parses each source once, and serial
+    cells compile from that same parse.  Pool workers parse for
+    themselves; payloads never carry an AST.
     """
 
     def __init__(
@@ -385,41 +399,31 @@ class MatrixEngine:
         self.coverage = bool(coverage)
         self._salt = environment_salt()
         self._golden: Dict[Tuple[str, str, Tuple[int, ...]], Optional[list]] = {}
-        # source -> parsed (program, info), or None when unparseable.
         # Parsing dominates the golden model's cost (~12x the actual
-        # interpretation on suite kernels), so batches of lanes over one
-        # program must not re-parse per lane.
-        self._parsed: Dict[str, Optional[tuple]] = {}
+        # interpretation on suite kernels): lanes over one program, and
+        # the serial cells that compile it, share one parse.
+        self.frontend = Frontend()
 
     # -- golden model -----------------------------------------------------
-
-    def _parsed_source(self, source: str) -> Optional[tuple]:
-        if source not in self._parsed:
-            from ..lang import parse
-
-            try:
-                self._parsed[source] = parse(source)
-            except Exception:
-                self._parsed[source] = None
-        return self._parsed[source]
 
     def golden_observable(self, task: CellTask) -> Optional[list]:
         """The reference interpreter's canonical observable for the task's
         program and inputs, memoized per (source, function, args); None when
         the interpreter itself cannot run the program (the flows will then
-        report their own rejections).  The parse is memoized separately per
-        source, so many-lane batches pay it once."""
+        report their own rejections).  The parse comes from the engine's
+        frontend, so many-lane batches pay it once."""
         key = (task.source, task.function, task.args)
         if key not in self._golden:
             from ..interp import run_program
 
-            parsed = self._parsed_source(task.source)
-            if parsed is None:
+            try:
+                program, info = self.frontend.parse(task.source)
+            except Exception:
                 self._golden[key] = None
             else:
                 try:
                     golden = run_program(
-                        parsed[0], parsed[1], task.function, task.args
+                        program, info, task.function, task.args
                     )
                 except Exception:
                     self._golden[key] = None
@@ -525,7 +529,7 @@ class MatrixEngine:
 
         if pending:
             if self.jobs == 1:
-                fresh = [(i, self._worker_for(p)(p)) for i, p in pending]
+                fresh = [(i, self._run_serial(p)) for i, p in pending]
             else:
                 fresh = self._run_pool(pending)
             for index, data in fresh:
@@ -541,6 +545,12 @@ class MatrixEngine:
 
     def _worker_for(self, payload: Dict[str, object]) -> Callable:
         return self.batch_worker if "lanes" in payload else self.worker
+
+    def _run_serial(self, payload: Dict[str, object]):
+        worker = self._worker_for(payload)
+        if worker is execute_cell or worker is execute_batch:
+            return worker(payload, frontend=self.frontend)
+        return worker(payload)  # substitute workers stay dict -> dict
 
     def _run_pool(
         self, pending: List[Tuple[int, Dict[str, object]]]

@@ -407,15 +407,23 @@ def structure_of(trace_dict: Optional[Dict[str, object]]) -> List[object]:
     return [shape(s) for s in trace_dict.get("spans", ())]  # type: ignore[union-attr]
 
 
+#: Span args that say how a phase ran, not what it produced: the
+#: frontend's ``memo`` (``hit``/``miss``) depends on whether the cell ran
+#: in-process next to the golden model's parse or in a pool worker.
+PROVENANCE_ARGS = frozenset({"memo"})
+
+
 def counters_of(trace_dict: Optional[Dict[str, object]]) -> Dict[str, object]:
     """Deterministic counters of a serialized trace, flattened as
-    ``span-name.key`` (first occurrence wins on collisions)."""
+    ``span-name.key`` (first occurrence wins on collisions); the
+    :data:`PROVENANCE_ARGS` are left out."""
     flat: Dict[str, object] = {}
     if not trace_dict:
         return flat
     for span in _iter_span_dicts(trace_dict):
         for key, value in (span.get("args") or {}).items():  # type: ignore[union-attr]
-            flat.setdefault(f"{span.get('name', '')}.{key}", value)
+            if key not in PROVENANCE_ARGS:
+                flat.setdefault(f"{span.get('name', '')}.{key}", value)
     return flat
 
 
