@@ -70,21 +70,22 @@ def test_key_is_exact_text_and_filename():
 def test_frontend_error_is_remembered_with_a_stable_traceback(parse_calls):
     frontend = Frontend()
     broken = "int main() { return 1 }"
+    def tail(raised):
+        return traceback.format_exception(
+            raised.type, raised.value, raised.value.__traceback__)[-2:]
+
     with pytest.raises(ParseError) as first:
         frontend.parse(broken)
+    first_tail = tail(first)
+    assert "parser.py" in first_tail[0]
     tails, depths = [], []
     for _ in range(3):
         with pytest.raises(ParseError) as again:
             frontend.parse(broken)
         assert again.value is first.value
-        formatted = traceback.format_exception(
-            again.type, again.value, again.value.__traceback__
-        )
-        tails.append(formatted[-2:])
+        tails.append(tail(again))
         depths.append(len(traceback.extract_tb(again.value.__traceback__)))
     assert parse_calls == [broken]
-    first_tail = traceback.format_exception(
-        first.type, first.value, first.value.__traceback__)[-2:]
     assert tails == [first_tail] * 3
     assert len(set(depths)) == 1
 
