@@ -217,6 +217,17 @@ def _solve(constraints: _Constraints, stats: PointerStats) -> Dict[Symbol, Set[S
     return points_to
 
 
+def pointer_free(fn: ast.FunctionDef) -> bool:
+    """True when ``fn`` declares, assigns, indexes through or takes the
+    address of nothing pointer-like, i.e. when :func:`plan_pointers` would
+    return the empty ``PointerPlan()``.  Cloning and unrolling ``fn`` only
+    copy statements it already has, so the answer also holds for any
+    unrolled copy, which lets a flow ask before unrolling on a smaller
+    tree."""
+    constraints = _gather_constraints(fn)
+    return not constraints.pointers and not constraints.address_taken
+
+
 def plan_pointers(
     fn: ast.FunctionDef,
     global_symbols: Optional[List[Symbol]] = None,

@@ -59,13 +59,16 @@ def check(
     function: str = "main",
     filename: str = "<input>",
     options: Optional[CheckOptions] = None,
+    frontend=None,
     **kwargs,
 ) -> LintReport:
     """Lint plus the TIM tier for one flow, a list, or every compilable
     flow.  ``options`` (or loose :class:`CheckOptions` keywords such as
     ``pipeline_ii=2``) parameterize the timing rules.  One scratch is
     shared across flows: the expensive replicated artifacts (optimized
-    CDFGs, Handel-C FSMDs) are flow-independent."""
+    CDFGs, Handel-C FSMDs) are flow-independent.  ``frontend`` (a
+    :class:`~repro.lang.Frontend`) supplies a shared parse, as for
+    :func:`~repro.analysis.lint.lint`."""
     if options is None:
         options = CheckOptions(**kwargs)
     elif kwargs:
@@ -78,6 +81,7 @@ def check(
         function=function,
         filename=filename,
         extra_rules=lambda key: timing_rules_for(key, options, scratch),
+        frontend=frontend,
     )
 
 
@@ -99,12 +103,15 @@ def enforce(
     flow: str,
     function: str = "main",
     options: Optional[CheckOptions] = None,
+    frontend=None,
 ) -> LintReport:
     """Run the checker for one flow and raise :class:`CheckRejected` when
     it finds errors; returns the (possibly warning-bearing) report
     otherwise.  This is what ``SynthesisOptions(check=True)`` calls before
-    handing the program to ``Flow.compile``."""
-    report = check(source, flow=flow, function=function, options=options)
+    handing the program to ``Flow.compile``, with the frontend the
+    compile then parses through."""
+    report = check(source, flow=flow, function=function, options=options,
+                   frontend=frontend)
     errors = [d for d in report.sorted() if d in set(report.errors(flow))]
     if errors:
         raise CheckRejected(flow, errors, report)

@@ -243,7 +243,7 @@ def synthesize(
     ``source``; without one the source is parsed afresh.
     """
     from .flows.registry import get_flow
-    from .lang.frontend import frontend_phases
+    from .lang.frontend import Frontend, frontend_phases
 
     options = SynthesisOptions.make(options, **overrides)
     if trace is None and options.trace:
@@ -253,8 +253,12 @@ def synthesize(
     if options.check:
         from .analysis.timing import enforce
 
+        # The checker and the compile share one parse.
+        if frontend is None:
+            frontend = Frontend()
         with t.span("check", cat="phase"):
-            enforce(source, options.flow, function=options.function)
+            enforce(source, options.flow, function=options.function,
+                    frontend=frontend)
     program, info = frontend_phases(source, trace=t, frontend=frontend)
     design = flow.compile(
         program, info, options.function, trace=trace, **options.flow_kwargs()

@@ -32,7 +32,7 @@ from ..analysis.lint.diagnostics import (
     RULE_STRUCTURE,
     RULE_UNBOUNDED_LOOP,
 )
-from ..analysis.pointer import plan_pointers
+from ..analysis.pointer import PointerPlan, plan_pointers, pointer_free
 from ..lang import ast_nodes as ast
 from ..lang.semantic import (
     FEATURE_CHANNELS,
@@ -51,7 +51,7 @@ from ..ir.cdfg import BasicBlock, FunctionCDFG
 from ..ir.ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg, VarRead
 from ..ir.passes import inline_program, try_full_unroll
 from ..ir.passes.fixpoint import optimize_cdfg
-from ..rtl.combinational import CombinationalNetlist, evaluate
+from ..rtl.combinational import CombinationalNetlist, NetlistPrice, evaluate
 from ..rtl.tech import DEFAULT_TECH, Technology
 from ..trace import ensure_trace
 from .base import (
@@ -139,8 +139,8 @@ class _Flattener:
             env, arrays, values = self._execute_block(block, merged_cond, env, arrays)
 
             def read_out(operand):
-                if isinstance(operand, VReg):
-                    return values[operand]
+                if type(operand) is VReg:
+                    return values[operand.id]
                 return self._read(operand, env)
 
             terminator = block.terminator
@@ -220,19 +220,27 @@ class _Flattener:
         return env, arrays
 
     def _merge(self, sources: List[Tuple[Operand, Dict, Dict]]):
+        """Merge the predecessors' environments under their path
+        conditions.  The result's dicts are fresh, but an array's element
+        list may still be a predecessor's: :meth:`_execute_block` copies a
+        list before its first store to it."""
         if not sources:
             # Unreachable block in a pruned CDFG: dead environment.
             return Const(0, BOOL), {}, {}
         cond, env, arrays = sources[0]
         env = dict(env)
-        arrays = {k: list(v) for k, v in arrays.items()}
+        arrays = dict(arrays)
         for other_cond, other_env, other_arrays in sources[1:]:
             # Order-preserving unions: Symbol hashing is identity-based, so
             # a set union here would make netlist op order (and hence the
             # emitted RTL) vary run to run.
             for symbol in [*env, *(s for s in other_env if s not in env)]:
-                a = env.get(symbol, Const(0, symbol.type))
-                b = other_env.get(symbol, Const(0, symbol.type))
+                a = env.get(symbol)
+                b = other_env.get(symbol)
+                if a is None:
+                    a = Const(0, symbol.type)
+                if b is None:
+                    b = Const(0, symbol.type)
                 env[symbol] = self._select(other_cond, b, a, symbol.type)
             for array in [*arrays,
                           *(a for a in other_arrays if a not in arrays)]:
@@ -247,18 +255,22 @@ class _Flattener:
         return cond, env, arrays
 
     def _read(self, operand: Operand, env: Dict[Symbol, Operand]) -> Operand:
-        if isinstance(operand, VarRead):
-            return env.get(operand.var, Const(0, operand.var.type))
+        if type(operand) is VarRead:
+            value = env.get(operand.var)
+            return Const(0, operand.var.type) if value is None else value
         return operand
 
     def _execute_block(self, block: BasicBlock, path_cond, env, arrays):
-        env = dict(env)
-        arrays = {k: list(v) for k, v in arrays.items()}
-        values: Dict[VReg, Operand] = {}
+        """Run ``block`` on the environments :meth:`_merge` made for it
+        (updating them in place) and return them with the block's values."""
+        # VReg id -> the netlist operand computing it.
+        values: Dict[int, Operand] = {}
+        # Arrays whose element list this block has already copied.
+        owned = set()
 
         def read(operand: Operand) -> Operand:
-            if isinstance(operand, VReg):
-                return values[operand]
+            if type(operand) is VReg:
+                return values[operand.id]
             return self._read(operand, env)
 
         for op in block.ops:
@@ -271,18 +283,23 @@ class _Flattener:
                         operands[1].type,
                     )
                 assert op.dest is not None
-                values[op.dest] = self._emit(
+                values[op.dest.id] = self._emit(
                     op.kind, op.dest.type, operands, op=op.op
                 )
             elif op.kind is OpKind.LOAD:
                 assert op.dest is not None and op.array is not None
                 index = read(op.operands[0])
                 elements = arrays[op.array]
-                values[op.dest] = self._mux_tree(index, elements, op.dest.type)
+                values[op.dest.id] = self._mux_tree(
+                    index, elements, op.dest.type
+                )
             elif op.kind is OpKind.STORE:
                 assert op.array is not None
                 index = read(op.operands[0])
                 value = read(op.operands[1])
+                if op.array not in owned:
+                    arrays[op.array] = list(arrays[op.array])
+                    owned.add(op.array)
                 elements = arrays[op.array]
                 element_type = op.array.type.element  # type: ignore[union-attr]
                 if isinstance(index, Const):
@@ -308,7 +325,9 @@ class _Flattener:
                 )
         for symbol, value in block.var_writes.items():
             new_value = read(value)
-            old_value = env.get(symbol, Const(0, symbol.type))
+            old_value = env.get(symbol)
+            if old_value is None:
+                old_value = Const(0, symbol.type)
             env[symbol] = self._select(path_cond, new_value, old_value, symbol.type)
         return env, arrays, values
 
@@ -346,6 +365,15 @@ class ConesDesign(CompiledDesign):
         self.netlist = netlist
         self.tech = tech
         self.stats = stats
+        # Technology -> NetlistPrice: run() and cost() share one pricing
+        # pass per technology (the netlist is final once compiled).
+        self._prices: Dict[int, Tuple[Technology, NetlistPrice]] = {}
+
+    def price(self, tech: Technology) -> NetlistPrice:
+        cached = self._prices.get(id(tech))
+        if cached is None:
+            cached = self._prices[id(tech)] = (tech, self.netlist.price(tech))
+        return cached[1]
 
     @property
     def artifact_kind(self) -> str:
@@ -359,27 +387,28 @@ class ConesDesign(CompiledDesign):
         t = ensure_trace(trace)
         with t.span("sim", cat="phase"):
             result = evaluate(self.netlist, args=args)
+            # The combinational "latency" is the priced critical path;
+            # cost() reuses this pricing pass.
+            price = self.price(self.tech)
             t.count(ops=self.netlist.op_count)
-        critical = self.netlist.critical_path_ns(self.tech)
         return FlowResult(
             value=result.value,
             cycles=0,  # combinational: no clock at all
-            time_ns=critical,
+            time_ns=price.critical_path_ns,
             globals=result.globals,
-            stats={"ops": self.netlist.op_count, "depth": self.netlist.depth(),
+            stats={"ops": self.netlist.op_count, "depth": price.depth,
                    **self.stats},
         )
 
     def cost(self, tech: Technology = DEFAULT_TECH, trace=None) -> DesignCost:
         t = ensure_trace(trace)
         with t.span("bind", cat="phase"):
-            area = self.netlist.area_ge(tech)
-            critical = self.netlist.critical_path_ns(tech)
+            price = self.price(tech)
             t.count(functional_units=self.netlist.op_count)
         return DesignCost(
-            area_ge=area,
+            area_ge=price.area_ge,
             clock_ns=0.0,
-            critical_path_ns=critical,
+            critical_path_ns=price.critical_path_ns,
             states=0,
             registers=0,
             functional_units=self.netlist.op_count,
@@ -443,6 +472,8 @@ class ConesFlow(Flow):
                 program, info, roots=[function]
             )
             fn = inlined.function(function)
+            # Asked before unrolling, on the smaller tree; see pointer_free.
+            needs_plan = not pointer_free(fn)
             fn, unrolled, resisted = try_full_unroll(
                 fn, max_iterations=max_unroll
             )
@@ -457,7 +488,7 @@ class ConesFlow(Flow):
             )
         with t.span("cdfg", cat="phase"):
             with t.span("cdfg.pointer-plan", cat="analysis"):
-                plan = plan_pointers(fn)
+                plan = plan_pointers(fn) if needs_plan else PointerPlan()
             cdfg = build_function(fn, info, plan)
             t.count(ops=cdfg.op_count())
         with t.span("passes", cat="phase"):

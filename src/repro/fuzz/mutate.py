@@ -12,7 +12,8 @@ surface on ones it can).
 
 Mutations take a private copy of the program's analyzed tree from a
 :class:`~repro.lang.Frontend` (one parse and one snapshot per source, one
-unpickled copy per attempt), transform it, and pretty-print it back; a
+unpickled copy per attempt at a kind that has sites, counted on the
+shared tree), transform it, and pretty-print it back; a
 mutant that fails to parse is discarded (never emitted), so every mutant
 handed to the campaign is a valid program.  Given the campaign engine's
 frontend, the parse of each kept mutant is the one its golden run and its
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..lang import ast_nodes as ast
 from ..lang.frontend import Frontend
@@ -394,7 +395,7 @@ def mutants(
     if frontend is None:
         frontend = Frontend()
     try:
-        frontend.parse(source)
+        shared, _ = frontend.parse(source)
     except Exception:
         return []
     rng = random.Random(seed)
@@ -410,15 +411,20 @@ def mutants(
 
     out: List[Mutant] = []
     seen = {source}
+    # Sites per kind, counted on the shared tree (collectors only read),
+    # so a kind without sites never pays for a private copy.
+    site_counts: Dict[str, int] = {}
     attempts = 0
     while len(out) < count and attempts < count * 6:
         attempts += 1
         name = names[(seed + attempts) % len(names)]
         collect, apply = catalog[name]
+        if name not in site_counts:
+            site_counts[name] = len(collect(shared))
+        if not site_counts[name]:
+            continue
         tree = frontend.fresh(source)
         sites = collect(tree)
-        if not sites:
-            continue
         index = rng.randrange(len(sites))
         apply(sites[index], rng, len(out))
         try:

@@ -19,14 +19,18 @@ from ..lang.errors import InterpError
 from ..lang.types import BOOL, BoolType, IntType, PointerType, Type
 
 
+_BOOL_AS_INT = IntType(1, signed=False)
+# Lowered pointers are word addresses into the unified memory.
+_POINTER_AS_INT = IntType(32, signed=False)
+
+
 def _as_int_type(value_type: Type) -> IntType:
-    if isinstance(value_type, BoolType):
-        return IntType(1, signed=False)
     if isinstance(value_type, IntType):
         return value_type
+    if isinstance(value_type, BoolType):
+        return _BOOL_AS_INT
     if isinstance(value_type, PointerType):
-        # Lowered pointers are word addresses into the unified memory.
-        return IntType(32, signed=False)
+        return _POINTER_AS_INT
     raise InterpError(f"expected an integer type, found {value_type}")
 
 

@@ -42,28 +42,39 @@ class Cloner:
     ):
         self.symbol_map: Dict[Symbol, Symbol] = symbol_map or {}
         self.substitutions: Dict[Symbol, ast.Expr] = substitutions or {}
+        # Clones substituted expressions: same symbol map, no substitutions.
+        self._plain: Optional["Cloner"] = None
 
     # -- expressions -------------------------------------------------------
 
+    # Node classes are leaves of the AST hierarchy, so the dispatch below
+    # compares exact classes (cheaper than isinstance on every clone).
+
     def expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.IntLiteral):
+        cls = type(e)
+        if cls is ast.IntLiteral:
             return ast.IntLiteral(value=e.value, location=e.location, type=e.type)
-        if isinstance(e, ast.BoolLiteral):
+        if cls is ast.BoolLiteral:
             return ast.BoolLiteral(value=e.value, location=e.location, type=e.type)
-        if isinstance(e, ast.Identifier):
+        if cls is ast.Identifier:
             symbol: Symbol = e.symbol  # type: ignore[attr-defined]
             if symbol in self.substitutions:
                 # Substitute a fresh clone so shared structure never appears.
-                return Cloner(dict(self.symbol_map)).expr(self.substitutions[symbol])
+                # Cloning an expression never adds to the symbol map, so the
+                # plain cloner can share this one's instead of a copy.
+                if self._plain is None:
+                    self._plain = Cloner()
+                    self._plain.symbol_map = self.symbol_map
+                return self._plain.expr(self.substitutions[symbol])
             mapped = self.symbol_map.get(symbol, symbol)
             out = ast.Identifier(name=mapped.name, location=e.location, type=e.type)
             out.symbol = mapped  # type: ignore[attr-defined]
             return out
-        if isinstance(e, ast.UnaryOp):
+        if cls is ast.UnaryOp:
             return ast.UnaryOp(
                 op=e.op, operand=self.expr(e.operand), location=e.location, type=e.type
             )
-        if isinstance(e, ast.BinaryOp):
+        if cls is ast.BinaryOp:
             return ast.BinaryOp(
                 op=e.op,
                 left=self.expr(e.left),
@@ -71,7 +82,7 @@ class Cloner:
                 location=e.location,
                 type=e.type,
             )
-        if isinstance(e, ast.Conditional):
+        if cls is ast.Conditional:
             return ast.Conditional(
                 cond=self.expr(e.cond),
                 then=self.expr(e.then),
@@ -79,14 +90,14 @@ class Cloner:
                 location=e.location,
                 type=e.type,
             )
-        if isinstance(e, ast.ArrayIndex):
+        if cls is ast.ArrayIndex:
             return ast.ArrayIndex(
                 base=self.expr(e.base),
                 index=self.expr(e.index),
                 location=e.location,
                 type=e.type,
             )
-        if isinstance(e, ast.Call):
+        if cls is ast.Call:
             out = ast.Call(
                 callee=e.callee,
                 args=[self.expr(a) for a in e.args],
@@ -96,7 +107,7 @@ class Cloner:
             if hasattr(e, "symbol"):
                 out.symbol = e.symbol  # type: ignore[attr-defined]
             return out
-        if isinstance(e, ast.Receive):
+        if cls is ast.Receive:
             out = ast.Receive(channel=e.channel, location=e.location, type=e.type)
             if hasattr(e, "symbol"):
                 mapped = self.symbol_map.get(e.symbol, e.symbol)  # type: ignore[attr-defined]
@@ -108,11 +119,12 @@ class Cloner:
     # -- statements --------------------------------------------------------
 
     def stmt(self, s: ast.Stmt) -> ast.Stmt:
-        if isinstance(s, ast.Block):
+        cls = type(s)
+        if cls is ast.Block:
             return ast.Block(
                 statements=[self.stmt(c) for c in s.statements], location=s.location
             )
-        if isinstance(s, ast.VarDecl):
+        if cls is ast.VarDecl:
             original: Symbol = s.symbol  # type: ignore[attr-defined]
             replacement = fresh_symbol(original.name, original.type, original.kind)
             replacement.is_const = original.is_const
@@ -129,24 +141,24 @@ class Cloner:
             )
             out.symbol = replacement  # type: ignore[attr-defined]
             return out
-        if isinstance(s, ast.Assign):
+        if cls is ast.Assign:
             return ast.Assign(
                 target=self.expr(s.target), value=self.expr(s.value), location=s.location
             )
-        if isinstance(s, ast.ExprStmt):
+        if cls is ast.ExprStmt:
             return ast.ExprStmt(expr=self.expr(s.expr), location=s.location)
-        if isinstance(s, ast.If):
+        if cls is ast.If:
             return ast.If(
                 cond=self.expr(s.cond),
                 then=self.stmt(s.then),
                 otherwise=self.stmt(s.otherwise) if s.otherwise is not None else None,
                 location=s.location,
             )
-        if isinstance(s, ast.While):
+        if cls is ast.While:
             return ast.While(cond=self.expr(s.cond), body=self.stmt(s.body), location=s.location)
-        if isinstance(s, ast.DoWhile):
+        if cls is ast.DoWhile:
             return ast.DoWhile(body=self.stmt(s.body), cond=self.expr(s.cond), location=s.location)
-        if isinstance(s, ast.For):
+        if cls is ast.For:
             return ast.For(
                 init=self.stmt(s.init) if s.init is not None else None,
                 cond=self.expr(s.cond) if s.cond is not None else None,
@@ -154,30 +166,30 @@ class Cloner:
                 body=self.stmt(s.body),
                 location=s.location,
             )
-        if isinstance(s, ast.Return):
+        if cls is ast.Return:
             return ast.Return(
                 value=self.expr(s.value) if s.value is not None else None,
                 location=s.location,
             )
-        if isinstance(s, ast.Break):
+        if cls is ast.Break:
             return ast.Break(location=s.location)
-        if isinstance(s, ast.Continue):
+        if cls is ast.Continue:
             return ast.Continue(location=s.location)
-        if isinstance(s, ast.Par):
+        if cls is ast.Par:
             return ast.Par(branches=[self.stmt(b) for b in s.branches], location=s.location)
-        if isinstance(s, ast.Seq):
+        if cls is ast.Seq:
             body = self.stmt(s.body)
             assert isinstance(body, ast.Block)
             return ast.Seq(body=body, location=s.location)
-        if isinstance(s, ast.Wait):
+        if cls is ast.Wait:
             return ast.Wait(location=s.location)
-        if isinstance(s, ast.Delay):
+        if cls is ast.Delay:
             return ast.Delay(cycles=s.cycles, location=s.location)
-        if isinstance(s, ast.Within):
+        if cls is ast.Within:
             body = self.stmt(s.body)
             assert isinstance(body, ast.Block)
             return ast.Within(cycles=s.cycles, body=body, location=s.location)
-        if isinstance(s, ast.Send):
+        if cls is ast.Send:
             out = ast.Send(channel=s.channel, value=self.expr(s.value), location=s.location)
             if hasattr(s, "symbol"):
                 mapped = self.symbol_map.get(s.symbol, s.symbol)  # type: ignore[attr-defined]

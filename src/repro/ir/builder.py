@@ -107,7 +107,8 @@ class CDFGBuilder:
         # Which block each VReg was computed in: used to route values that
         # cross a block boundary (e.g. around a lowered ternary) through a
         # temporary register, keeping VRegs strictly block-local wires.
-        self._vreg_block: Dict[VReg, BasicBlock] = {}
+        # Keyed by VReg id (unique per process), which hashes in C.
+        self._vreg_block: Dict[int, BasicBlock] = {}
         # Source statement currently being lowered; stamped onto emitted ops
         # so CDFG-level diagnostics can point at source lines.
         self._loc: Optional[SourceLocation] = None
@@ -160,9 +161,9 @@ class CDFGBuilder:
         an earlier block is latched into a fresh temporary register there
         (the earlier block dominates this one within structured lowering)
         and re-read here."""
-        if not isinstance(operand, VReg):
+        if type(operand) is not VReg:
             return operand
-        defining = self._vreg_block.get(operand)
+        defining = self._vreg_block.get(operand.id)
         if defining is None or defining is self.block:
             return operand
         temp = fresh_symbol("xb", operand.type)
@@ -177,14 +178,22 @@ class CDFGBuilder:
         operands: List[Operand],
         **attrs,
     ) -> Optional[VReg]:
-        operands = [self._localize(o) for o in operands]
+        block = self.block
+        vreg_block = self._vreg_block
+        # Only a VReg from another block needs _localize's temporary.
+        operands = [
+            self._localize(o)
+            if type(o) is VReg and vreg_block.get(o.id, block) is not block
+            else o
+            for o in operands
+        ]
         dest = VReg(dest_type) if dest_type is not None else None
         op = Operation(kind=kind, dest=dest, operands=operands,
                        constraint=self.constraint_group,
                        location=self._loc, **attrs)
-        self.block.append(op)
+        block.ops.append(op)
         if dest is not None:
-            self._vreg_block[dest] = self.block
+            vreg_block[dest.id] = block
         return dest
 
     def _new_block(self, label: str = "") -> BasicBlock:
@@ -233,7 +242,8 @@ class CDFGBuilder:
 
     def _cast_to(self, value: Operand, target: Type) -> Operand:
         source = value.type
-        if isinstance(target, (IntType, BoolType, PointerType)) and source == target:
+        if isinstance(target, (IntType, BoolType, PointerType)) and (
+                source is target or source == target):
             return value
         if isinstance(value, Const):
             from ..interp.machine import wrap

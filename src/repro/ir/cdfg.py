@@ -162,29 +162,6 @@ class ModuleCDFG:
         return self.functions[name]
 
 
-def operand_vregs(operand: Operand) -> List[VReg]:
-    return [operand] if isinstance(operand, VReg) else []
-
-
-def defs_and_uses(block: BasicBlock) -> Tuple[Set[VReg], Set[VReg]]:
-    """VRegs defined and used in a block (for sanity checks)."""
-    defs: Set[VReg] = set()
-    uses: Set[VReg] = set()
-    for op in block.ops:
-        if op.dest is not None:
-            defs.add(op.dest)
-        for operand in op.operands:
-            uses.update(operand_vregs(operand))
-    if block.terminator is not None:
-        if isinstance(block.terminator, Branch):
-            uses.update(operand_vregs(block.terminator.cond))
-        elif isinstance(block.terminator, Ret) and block.terminator.value is not None:
-            uses.update(operand_vregs(block.terminator.value))
-    for value in block.var_writes.values():
-        uses.update(operand_vregs(value))
-    return defs, uses
-
-
 def validate(cdfg: FunctionCDFG) -> None:
     """Structural sanity checks; raises ValueError on malformed graphs.
 
@@ -194,19 +171,26 @@ def validate(cdfg: FunctionCDFG) -> None:
     for block in cdfg.blocks:
         if block.terminator is None:
             raise ValueError(f"{cdfg.name}/{block.label}: missing terminator")
-        defined: Set[VReg] = set()
+        # VReg ids: a VReg hashes by id and ids are unique per process.
+        defined: Set[int] = set()
         for op in block.ops:
             for operand in op.operands:
-                for vreg in operand_vregs(operand):
-                    if vreg not in defined:
-                        raise ValueError(
-                            f"{cdfg.name}/{block.label}: {op} uses {vreg}"
-                            " before definition"
-                        )
+                if type(operand) is VReg and operand.id not in defined:
+                    raise ValueError(
+                        f"{cdfg.name}/{block.label}: {op} uses {operand}"
+                        " before definition"
+                    )
             if op.dest is not None:
-                defined.add(op.dest)
-        _, uses = defs_and_uses(block)
-        stray = uses - defined
+                defined.add(op.dest.id)
+        # Every op's uses were checked above; only the latches and the
+        # terminator can still name an undefined VReg.
+        exits: List[Operand] = list(block.var_writes.values())
+        terminator = block.terminator
+        if isinstance(terminator, Branch):
+            exits.append(terminator.cond)
+        elif isinstance(terminator, Ret) and terminator.value is not None:
+            exits.append(terminator.value)
+        stray = {v for v in exits if type(v) is VReg and v.id not in defined}
         if stray:
             raise ValueError(
                 f"{cdfg.name}/{block.label}: terminator or latch uses"

@@ -16,9 +16,9 @@ from ..cdfg import BasicBlock, FunctionCDFG
 from ..ops import Branch, Const, Jump, Operand, Operation, OpKind, Ret, VReg
 
 
-def _subst(operand: Operand, replacements: Dict[VReg, Operand]) -> Operand:
-    if isinstance(operand, VReg) and operand in replacements:
-        return replacements[operand]
+def _subst(operand: Operand, replacements: Dict[int, Operand]) -> Operand:
+    if type(operand) is VReg and operand.id in replacements:
+        return replacements[operand.id]
     return operand
 
 
@@ -67,40 +67,45 @@ def _algebraic(op: Operation) -> Optional[Operand]:
 
 def _fold_block(block: BasicBlock) -> int:
     folded = 0
-    replacements: Dict[VReg, Operand] = {}
+    # VReg id -> the operand that now stands for it.
+    replacements: Dict[int, Operand] = {}
     kept = []
     for op in block.ops:
-        op.operands = [_subst(o, replacements) for o in op.operands]
-        if op.dest is None:
+        operands = op.operands
+        if replacements:
+            for i, operand in enumerate(operands):
+                if type(operand) is VReg and operand.id in replacements:
+                    operands[i] = replacements[operand.id]
+        dest = op.dest
+        if dest is None:
             kept.append(op)
             continue
-        constants = [o.value for o in op.operands if isinstance(o, Const)]
-        all_const = len(constants) == len(op.operands) and op.operands
+        kind = op.kind
         try:
-            if op.kind is OpKind.BINARY and all_const:
-                value = eval_binary(op.op, constants[0], constants[1], op.dest.type)
-                replacements[op.dest] = Const(value, op.dest.type)
-                folded += 1
-                continue
-            if op.kind is OpKind.UNARY and all_const:
-                value = eval_unary(op.op, constants[0], op.dest.type)
-                replacements[op.dest] = Const(value, op.dest.type)
-                folded += 1
-                continue
-            if op.kind is OpKind.CAST and all_const:
-                replacements[op.dest] = Const(
-                    wrap(constants[0], op.dest.type), op.dest.type
-                )
-                folded += 1
-                continue
-            if op.kind is OpKind.SELECT and isinstance(op.operands[0], Const):
-                chosen = op.operands[1] if op.operands[0].value else op.operands[2]
-                if chosen.type == op.dest.type:
-                    replacements[op.dest] = chosen
+            if operands and (kind is OpKind.BINARY or kind is OpKind.UNARY
+                             or kind is OpKind.CAST):
+                for operand in operands:
+                    if type(operand) is not Const:
+                        break
+                else:
+                    if kind is OpKind.BINARY:
+                        value = eval_binary(op.op, operands[0].value,
+                                            operands[1].value, dest.type)
+                    elif kind is OpKind.UNARY:
+                        value = eval_unary(op.op, operands[0].value, dest.type)
+                    else:
+                        value = wrap(operands[0].value, dest.type)
+                    replacements[dest.id] = Const(value, dest.type)
+                    folded += 1
+                    continue
+            elif kind is OpKind.SELECT and type(operands[0]) is Const:
+                chosen = operands[1] if operands[0].value else operands[2]
+                if chosen.type == dest.type:
+                    replacements[dest.id] = chosen
                     folded += 1
                     continue
                 rewritten = Operation(
-                    kind=OpKind.CAST, dest=op.dest, operands=[chosen],
+                    kind=OpKind.CAST, dest=dest, operands=[chosen],
                     constraint=op.constraint,
                 )
                 kept.append(rewritten)
@@ -109,25 +114,31 @@ def _fold_block(block: BasicBlock) -> int:
             # Folding would trap (e.g. division by zero); leave it for runtime.
             kept.append(op)
             continue
-        simplified = _algebraic(op)
+        # Every identity needs a constant operand.
+        simplified = None
+        if kind is OpKind.BINARY and len(operands) == 2 and (
+                type(operands[0]) is Const or type(operands[1]) is Const):
+            simplified = _algebraic(op)
         if simplified is not None:
-            replacements[op.dest] = simplified
+            replacements[dest.id] = simplified
             folded += 1
             continue
         kept.append(op)
     block.ops = kept
-    block.var_writes = {
-        var: _subst(value, replacements) for var, value in block.var_writes.items()
-    }
     terminator = block.terminator
-    if isinstance(terminator, Branch):
-        terminator.cond = _subst(terminator.cond, replacements)
-        if isinstance(terminator.cond, Const):
-            target = terminator.if_true if terminator.cond.value else terminator.if_false
-            block.terminator = Jump(target)
-            folded += 1
-    elif isinstance(terminator, Ret) and terminator.value is not None:
-        terminator.value = _subst(terminator.value, replacements)
+    if replacements:
+        block.var_writes = {
+            var: _subst(value, replacements)
+            for var, value in block.var_writes.items()
+        }
+        if isinstance(terminator, Branch):
+            terminator.cond = _subst(terminator.cond, replacements)
+        elif isinstance(terminator, Ret) and terminator.value is not None:
+            terminator.value = _subst(terminator.value, replacements)
+    if isinstance(terminator, Branch) and isinstance(terminator.cond, Const):
+        target = terminator.if_true if terminator.cond.value else terminator.if_false
+        block.terminator = Jump(target)
+        folded += 1
     return folded
 
 

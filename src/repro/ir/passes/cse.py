@@ -9,57 +9,82 @@ optimization an HLS compiler needs for array-heavy kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 from ..cdfg import BasicBlock, FunctionCDFG
-from ..ops import Branch, Const, Operand, Operation, OpKind, Ret, VReg, VarRead
+from ..ops import Branch, Const, Operand, OpKind, Ret, VReg, VarRead
 
 
-def _operand_key(operand: Operand) -> Tuple:
-    if isinstance(operand, Const):
-        return ("const", operand.value, str(operand.type))
-    if isinstance(operand, VarRead):
-        return ("var", operand.var.unique_name)
-    return ("vreg", operand.id)
+def _operand_key(operand: Operand, type_name=str) -> Hashable:
+    """An operand's value identity: a VReg's id (int), a VarRead's
+    register name (str) or a Const's ``(value, type name)`` (tuple), so
+    the three kinds never compare equal.  ``type_name`` maps a type to
+    its name (``str``, or a memo of it)."""
+    operand_class = type(operand)
+    if operand_class is VReg:
+        return operand.id
+    if operand_class is Const:
+        return (operand.value, type_name(operand.type))
+    return operand.var.unique_name
 
 
-def _cse_block(block: BasicBlock) -> int:
+#: Kinds merged by value.  Tuple membership compares by identity first,
+#: which is cheaper than hashing an Enum member.
+_PURE_KINDS = (OpKind.BINARY, OpKind.UNARY, OpKind.CAST, OpKind.SELECT)
+#: ``Operation.is_fence`` as a tuple.
+_FENCE_KINDS = (OpKind.SEND, OpKind.RECV, OpKind.BARRIER, OpKind.DELAY,
+                OpKind.CALL)
+
+
+def _cse_block(block: BasicBlock, type_names: Dict[int, Tuple]) -> int:
+    """Block-local CSE.  Value keys are ``(kind id, operator, result type,
+    operand keys)``.  ``type_names`` memoizes ``str(type)`` by object id
+    for one pass; each entry holds its type, so no id is reused while the
+    memo lives."""
     eliminated = 0
     table: Dict[Tuple, VReg] = {}
-    replacements: Dict[VReg, VReg] = {}
+    # VReg id -> the earlier VReg computing the same value.
+    replacements: Dict[int, VReg] = {}
     memory_version: Dict[str, int] = {}
     kept = []
 
-    def version_of(array) -> int:
-        return memory_version.get(array.unique_name, 0)
+    def type_name(value_type) -> str:
+        entry = type_names.get(id(value_type))
+        if entry is None:
+            entry = type_names[id(value_type)] = (value_type, str(value_type))
+        return entry[1]
 
     for op in block.ops:
-        op.operands = [
-            replacements.get(o, o) if isinstance(o, VReg) else o for o in op.operands
-        ]
-        key: Optional[Tuple] = None
-        if op.kind in (OpKind.BINARY, OpKind.UNARY, OpKind.CAST, OpKind.SELECT):
-            key = (
-                op.kind.value, op.op,
-                str(op.dest.type) if op.dest is not None else "",
-                tuple(_operand_key(o) for o in op.operands),
-            )
-        elif op.kind is OpKind.LOAD and op.array is not None:
-            key = (
-                "load", op.array.unique_name, version_of(op.array),
-                str(op.dest.type) if op.dest is not None else "",
-                tuple(_operand_key(o) for o in op.operands),
-            )
-        if key is not None and op.dest is not None:
+        operands = op.operands
+        if replacements:
+            for i, operand in enumerate(operands):
+                if type(operand) is VReg and operand.id in replacements:
+                    operands[i] = replacements[operand.id]
+        kind = op.kind
+        dest = op.dest
+        if dest is not None and (kind in _PURE_KINDS or (
+                kind is OpKind.LOAD and op.array is not None)):
+            operand_keys = tuple([_operand_key(o, type_name)
+                                  for o in operands])
+            if kind is OpKind.LOAD:
+                name = op.array.unique_name  # type: ignore[union-attr]
+                key: Tuple = (
+                    "load", name, memory_version.get(name, 0),
+                    type_name(dest.type), operand_keys,
+                )
+            else:
+                key = (id(kind), op.op, type_name(dest.type), operand_keys)
             existing = table.get(key)
-            if existing is not None and existing.type == op.dest.type:
-                replacements[op.dest] = existing
+            if existing is not None and (existing.type is dest.type
+                                         or existing.type == dest.type):
+                replacements[dest.id] = existing
                 eliminated += 1
                 continue
-            table[key] = op.dest
-        if op.kind is OpKind.STORE and op.array is not None:
-            memory_version[op.array.unique_name] = version_of(op.array) + 1
-        elif op.is_fence():
+            table[key] = dest
+        if kind is OpKind.STORE and op.array is not None:
+            name = op.array.unique_name
+            memory_version[name] = memory_version.get(name, 0) + 1
+        elif kind in _FENCE_KINDS:
             for name in list(memory_version):
                 memory_version[name] += 1
             # Fences also invalidate every memoized load (conservative).
@@ -69,18 +94,25 @@ def _cse_block(block: BasicBlock) -> int:
         kept.append(op)
 
     block.ops = kept
-    block.var_writes = {
-        var: replacements.get(value, value) if isinstance(value, VReg) else value
-        for var, value in block.var_writes.items()
-    }
-    terminator = block.terminator
-    if isinstance(terminator, Branch) and isinstance(terminator.cond, VReg):
-        terminator.cond = replacements.get(terminator.cond, terminator.cond)
-    elif isinstance(terminator, Ret) and isinstance(terminator.value, VReg):
-        terminator.value = replacements.get(terminator.value, terminator.value)
+    if replacements:
+        block.var_writes = {
+            var: replacements.get(value.id, value)
+            if type(value) is VReg else value
+            for var, value in block.var_writes.items()
+        }
+        terminator = block.terminator
+        if isinstance(terminator, Branch) and type(terminator.cond) is VReg:
+            terminator.cond = replacements.get(
+                terminator.cond.id, terminator.cond
+            )
+        elif isinstance(terminator, Ret) and type(terminator.value) is VReg:
+            terminator.value = replacements.get(
+                terminator.value.id, terminator.value
+            )
     return eliminated
 
 
 def eliminate_common_subexpressions(cdfg: FunctionCDFG) -> int:
     """Run block-local CSE; returns the number of operations removed."""
-    return sum(_cse_block(block) for block in cdfg.blocks)
+    type_names: Dict[int, Tuple] = {}
+    return sum(_cse_block(block, type_names) for block in cdfg.blocks)

@@ -15,43 +15,44 @@ from typing import Set
 
 from ...lang.symtab import Symbol, SymbolKind
 from ..cdfg import BasicBlock, FunctionCDFG
-from ..ops import Branch, Operand, OpKind, Ret, VReg, VarRead
+from ..ops import Branch, OpKind, Ret, VReg, VarRead
 
 
-def _live_vregs(block: BasicBlock) -> Set[VReg]:
-    """VRegs needed by side effects, latches, and the terminator."""
-    live: Set[VReg] = set()
-
-    def note(operand: Operand) -> None:
-        if isinstance(operand, VReg):
-            live.add(operand)
-
-    # Roots: latches and the terminator.
-    for value in block.var_writes.values():
-        note(value)
-    terminator = block.terminator
-    if isinstance(terminator, Branch):
-        note(terminator.cond)
-    elif isinstance(terminator, Ret) and terminator.value is not None:
-        note(terminator.value)
-    # Definitions precede uses within a block, so one reverse sweep closes
-    # the transitive liveness set.
-    for op in reversed(block.ops):
-        if op.has_side_effect() or (op.dest is not None and op.dest in live):
-            for operand in op.operands:
-                note(operand)
-    return live
+#: ``Operation.has_side_effect`` as a tuple: membership compares by
+#: identity first, which spares a method call per op per sweep.
+_SIDE_EFFECT_KINDS = (OpKind.STORE, OpKind.SEND, OpKind.RECV,
+                      OpKind.BARRIER, OpKind.DELAY, OpKind.CALL)
 
 
 def _sweep_block(block: BasicBlock) -> int:
-    live = _live_vregs(block)
-    before = len(block.ops)
-    block.ops = [
-        op
-        for op in block.ops
-        if op.has_side_effect() or (op.dest is not None and op.dest in live)
-    ]
-    return before - len(block.ops)
+    """Delete the block's pure operations whose results feed no side
+    effect, latch or terminator; returns how many were deleted.
+
+    Definitions precede uses within a block, so one reverse sweep both
+    closes the liveness set (VReg ids) and decides every op."""
+    live: Set[int] = set()
+    for value in block.var_writes.values():
+        if type(value) is VReg:
+            live.add(value.id)
+    terminator = block.terminator
+    if isinstance(terminator, Branch):
+        if type(terminator.cond) is VReg:
+            live.add(terminator.cond.id)
+    elif isinstance(terminator, Ret) and type(terminator.value) is VReg:
+        live.add(terminator.value.id)
+    kept = []
+    for op in reversed(block.ops):
+        if op.kind in _SIDE_EFFECT_KINDS or (
+                op.dest is not None and op.dest.id in live):
+            kept.append(op)
+            for operand in op.operands:
+                if type(operand) is VReg:
+                    live.add(operand.id)
+    removed = len(block.ops) - len(kept)
+    if removed:
+        kept.reverse()
+        block.ops = kept
+    return removed
 
 
 def _read_vars(cdfg: FunctionCDFG) -> Set[Symbol]:
@@ -59,19 +60,16 @@ def _read_vars(cdfg: FunctionCDFG) -> Set[Symbol]:
     for block in cdfg.blocks:
         for op in block.ops:
             for operand in op.operands:
-                if isinstance(operand, VarRead):
+                if type(operand) is VarRead:
                     read.add(operand.var)
         terminator = block.terminator
-        operands = []
         if isinstance(terminator, Branch):
-            operands = [terminator.cond]
-        elif isinstance(terminator, Ret) and terminator.value is not None:
-            operands = [terminator.value]
-        for operand in operands:
-            if isinstance(operand, VarRead):
-                read.add(operand.var)
+            if type(terminator.cond) is VarRead:
+                read.add(terminator.cond.var)
+        elif isinstance(terminator, Ret) and type(terminator.value) is VarRead:
+            read.add(terminator.value.var)
         for value in block.var_writes.values():
-            if isinstance(value, VarRead):
+            if type(value) is VarRead:
                 read.add(value.var)
     return read
 
@@ -80,15 +78,15 @@ def eliminate_dead_code(cdfg: FunctionCDFG) -> int:
     """Remove dead operations and dead register latches; returns the total
     number of items deleted."""
     removed = 0
+    pinned = {s for s in cdfg.registers if s.kind is SymbolKind.GLOBAL}
+    pinned.update(cdfg.params)
     changed = True
     while changed:
         changed = False
         read = _read_vars(cdfg)
-        keep = set(read)
-        keep.update(s for s in cdfg.registers if s.kind is SymbolKind.GLOBAL)
-        keep.update(cdfg.params)
         for block in cdfg.blocks:
-            dead_latches = [v for v in block.var_writes if v not in keep]
+            dead_latches = [v for v in block.var_writes
+                            if v not in read and v not in pinned]
             for var in dead_latches:
                 del block.var_writes[var]
                 removed += 1
@@ -98,13 +96,16 @@ def eliminate_dead_code(cdfg: FunctionCDFG) -> int:
             if swept:
                 removed += swept
                 changed = True
-    live_registers = _read_vars(cdfg)
+    # The last sweep changed nothing, so ``read`` is still current.
+    written = set()
+    for block in cdfg.blocks:
+        written.update(block.var_writes)
     cdfg.registers = [
         s
         for s in cdfg.registers
-        if s in live_registers
+        if s in read
         or s.kind is SymbolKind.GLOBAL
         or s in cdfg.params
-        or any(s in b.var_writes for b in cdfg.blocks)
+        or s in written
     ]
     return removed

@@ -38,7 +38,7 @@ Safety notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Hashable, Tuple
 
 from ...lang.symtab import SymbolKind
 from ..cdfg import BasicBlock, FunctionCDFG
@@ -49,7 +49,7 @@ from .cse import _operand_key
 @dataclass
 class _PendingStore:
     op: Operation
-    index_key: Tuple
+    index_key: Hashable
     value: Operand
     observed: bool = False  # a later load from this array may have read it
 

@@ -125,6 +125,7 @@ def simplify_cfg(cdfg: FunctionCDFG) -> int:
     """Clean the CFG; returns the number of structural changes made."""
     changed = _retarget(cdfg)
     cdfg.prune_unreachable()
-    changed += _merge_pairs(cdfg)
-    cdfg.prune_unreachable()
-    return changed
+    merged = _merge_pairs(cdfg)
+    if merged:
+        cdfg.prune_unreachable()
+    return changed + merged

@@ -22,10 +22,14 @@ class SymbolKind(enum.Enum):
 _uid = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Symbol:
     """A named program entity.  ``unique_name`` disambiguates shadowed
-    locals so the IR builder never has to reason about lexical scope."""
+    locals so the IR builder never has to reason about lexical scope.
+
+    Symbols compare and hash by identity (``eq=False`` keeps object's
+    C-level ``__eq__``/``__hash__``): two declarations of the same name
+    are different storage."""
 
     name: str
     type: Type
@@ -40,12 +44,6 @@ class Symbol:
                 self.unique_name = self.name
             else:
                 self.unique_name = f"{self.name}.{next(_uid)}"
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 class Scope:

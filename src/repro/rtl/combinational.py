@@ -17,7 +17,7 @@ from ..interp.machine import eval_binary, eval_unary, wrap
 from ..lang.errors import InterpError
 from ..lang.symtab import Symbol
 from ..ir.ops import Const, Operand, Operation, OpKind, VReg, VarRead
-from ..scheduling.resources import op_area_ge, op_delay_ns
+from ..scheduling.resources import PriceTable
 from .tech import DEFAULT_TECH, Technology
 
 
@@ -43,38 +43,56 @@ class CombinationalNetlist:
     def op_count(self) -> int:
         return len(self.ops)
 
-    def area_ge(self, tech: Technology = DEFAULT_TECH) -> float:
-        return sum(op_area_ge(op, tech) for op in self.ops)
-
-    def critical_path_ns(self, tech: Technology = DEFAULT_TECH) -> float:
+    def price(self, tech: Technology = DEFAULT_TECH) -> "NetlistPrice":
+        """Area, critical path and logic depth in one pass over the ops,
+        each op priced through a :class:`PriceTable`."""
+        prices = PriceTable(tech)
         finish: Dict[int, float] = {}
+        level: Dict[int, int] = {}
+        area = 0  # an int when there are no ops, as sum() gave
         worst = 0.0
+        deepest = 0
         for op in self.ops:
+            delay, op_area = prices(op)
+            area += op_area
             ready = 0.0
+            ready_level = 0
             for operand in op.operands:
-                if isinstance(operand, VReg) and operand.id in finish:
-                    ready = max(ready, finish[operand.id])
-            done = ready + op_delay_ns(op, tech)
+                if type(operand) is VReg and operand.id in finish:
+                    if finish[operand.id] > ready:
+                        ready = finish[operand.id]
+                    if level[operand.id] > ready_level:
+                        ready_level = level[operand.id]
+            done = ready + delay
+            # CASTs are wires: they add no logic level.
+            done_level = ready_level + (op.kind is not OpKind.CAST)
             if op.dest is not None:
                 finish[op.dest.id] = done
-            worst = max(worst, done)
-        return worst
+                level[op.dest.id] = done_level
+            if done > worst:
+                worst = done
+            if done_level > deepest:
+                deepest = done_level
+        return NetlistPrice(area_ge=area, critical_path_ns=worst, depth=deepest)
+
+    def area_ge(self, tech: Technology = DEFAULT_TECH) -> float:
+        return self.price(tech).area_ge
+
+    def critical_path_ns(self, tech: Technology = DEFAULT_TECH) -> float:
+        return self.price(tech).critical_path_ns
 
     def depth(self) -> int:
         """Logic depth in operator levels (CASTs are wires)."""
-        level: Dict[int, int] = {}
-        worst = 0
-        for op in self.ops:
-            ready = 0
-            for operand in op.operands:
-                if isinstance(operand, VReg) and operand.id in level:
-                    ready = max(ready, level[operand.id])
-            cost = 0 if op.kind is OpKind.CAST else 1
-            done = ready + cost
-            if op.dest is not None:
-                level[op.dest.id] = done
-            worst = max(worst, done)
-        return worst
+        return self.price().depth
+
+
+@dataclass(frozen=True)
+class NetlistPrice:
+    """What :meth:`CombinationalNetlist.price` computes for one technology."""
+
+    area_ge: float
+    critical_path_ns: float
+    depth: int
 
 
 @dataclass
@@ -106,30 +124,33 @@ def evaluate(
         bound.update(inputs)
 
     def read(operand: Operand) -> int:
-        if isinstance(operand, Const):
+        operand_class = type(operand)
+        if operand_class is Const:
             return operand.value
-        if isinstance(operand, VarRead):
+        if operand_class is VarRead:
             return bound.get(operand.var.unique_name, 0)
         if operand.id not in values:
             raise InterpError(f"{operand} used before definition")
         return values[operand.id]
 
     for op in netlist.ops:
-        if op.kind is OpKind.BINARY:
+        kind = op.kind
+        operands = op.operands
+        if kind is OpKind.BINARY:
             assert op.dest is not None
             values[op.dest.id] = eval_binary(
-                op.op, read(op.operands[0]), read(op.operands[1]), op.dest.type
+                op.op, read(operands[0]), read(operands[1]), op.dest.type
             )
-        elif op.kind is OpKind.UNARY:
+        elif kind is OpKind.UNARY:
             assert op.dest is not None
-            values[op.dest.id] = eval_unary(op.op, read(op.operands[0]), op.dest.type)
-        elif op.kind is OpKind.CAST:
+            values[op.dest.id] = eval_unary(op.op, read(operands[0]), op.dest.type)
+        elif kind is OpKind.CAST:
             assert op.dest is not None
-            values[op.dest.id] = wrap(read(op.operands[0]), op.dest.type)
-        elif op.kind is OpKind.SELECT:
+            values[op.dest.id] = wrap(read(operands[0]), op.dest.type)
+        elif kind is OpKind.SELECT:
             assert op.dest is not None
             chosen = (
-                read(op.operands[1]) if read(op.operands[0]) else read(op.operands[2])
+                read(operands[1]) if read(operands[0]) else read(operands[2])
             )
             values[op.dest.id] = wrap(chosen, op.dest.type)
         else:

@@ -19,6 +19,7 @@ and removed.  Only deterministic verdicts are stored (see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -35,12 +36,21 @@ DEFAULT_CACHE_DIR = pathlib.Path(
 ).expanduser()
 
 
+#: Distinct source texts whose normalization one process remembers.
+NORMALIZED_CAPACITY = 512
+
+
+@functools.lru_cache(maxsize=NORMALIZED_CAPACITY)
 def normalized_source(source: str) -> str:
     """The cache's view of a program: its token stream.
 
     Lexing strips whitespace and comments, so two sources that differ only
     in layout normalize identically.  Sources the lexer rejects fall back
-    to their raw text — they will fail identically in every flow anyway."""
+    to their raw text — they will fail identically in every flow anyway.
+
+    Memoized per exact text (least recently used out beyond
+    :data:`NORMALIZED_CAPACITY`), so a sweep's cache keys lex each
+    distinct source once instead of once per cell."""
     from ..lang.errors import FrontendError
     from ..lang.lexer import tokenize
 

@@ -23,11 +23,12 @@ import signal
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..lang.frontend import Frontend
+from ..lang.frontend import CAPACITY as FRONTEND_CAPACITY, Frontend
 from .cache import ArtifactCache, cell_key, environment_salt
 from .cells import (
     ERROR,
@@ -343,6 +344,10 @@ def _crash_result(payload: Dict[str, object]):
     return result.to_dict()
 
 
+#: ``MatrixEngine``'s golden-model memo key: ``(source, function, args)``.
+GoldenKey = Tuple[str, str, Tuple[int, ...]]
+
+
 class MatrixEngine:
     """Runs cell sets serially, in parallel, and through the cache.
 
@@ -398,7 +403,9 @@ class MatrixEngine:
         self.trace = bool(trace)
         self.coverage = bool(coverage)
         self._salt = environment_salt()
-        self._golden: Dict[Tuple[str, str, Tuple[int, ...]], Optional[list]] = {}
+        # (source, function, args) -> golden observable, least recently
+        # used first; bounded like the frontend it parses through.
+        self._golden: "OrderedDict[GoldenKey, Optional[list]]" = OrderedDict()
         # Parsing dominates the golden model's cost (~12x the actual
         # interpretation on suite kernels): lanes over one program, and
         # the serial cells that compile it, share one parse.
@@ -408,30 +415,33 @@ class MatrixEngine:
 
     def golden_observable(self, task: CellTask) -> Optional[list]:
         """The reference interpreter's canonical observable for the task's
-        program and inputs, memoized per (source, function, args); None when
+        program and inputs, memoized per (source, function, args) for the
+        most recent :data:`~repro.lang.frontend.CAPACITY` keys; None when
         the interpreter itself cannot run the program (the flows will then
         report their own rejections).  The parse comes from the engine's
         frontend, so many-lane batches pay it once."""
         key = (task.source, task.function, task.args)
-        if key not in self._golden:
-            from ..interp import run_program
+        if key in self._golden:
+            self._golden.move_to_end(key)
+            return self._golden[key]
+        from ..interp import run_program
 
+        observable: Optional[list] = None
+        try:
+            program, info = self.frontend.parse(task.source)
+        except Exception:
+            pass
+        else:
             try:
-                program, info = self.frontend.parse(task.source)
+                golden = run_program(program, info, task.function, task.args)
             except Exception:
-                self._golden[key] = None
+                pass
             else:
-                try:
-                    golden = run_program(
-                        program, info, task.function, task.args
-                    )
-                except Exception:
-                    self._golden[key] = None
-                else:
-                    self._golden[key] = canonical_observable(
-                        golden.observable()
-                    )
-        return self._golden[key]
+                observable = canonical_observable(golden.observable())
+        self._golden[key] = observable
+        if len(self._golden) > FRONTEND_CAPACITY:
+            self._golden.popitem(last=False)
+        return observable
 
     # -- execution --------------------------------------------------------
 

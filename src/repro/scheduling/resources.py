@@ -8,7 +8,7 @@ one control step — the knob the E9 scheduler ablation sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..ir.ops import Operation, OpKind
 from ..rtl import tech as T
@@ -78,10 +78,42 @@ def tech_class(op: Operation) -> str:
 
 
 def op_width(op: Operation) -> int:
-    """The width the technology model prices this operation at."""
-    widths = [op.dest.type.bit_width] if op.dest is not None else []
-    widths += [o.type.bit_width for o in op.operands if o.type is not None]
-    return max(widths) if widths else 32
+    """The width the technology model prices this operation at: the
+    widest of its result and operands, 32 when it has neither."""
+    width = op.dest.type.bit_width if op.dest is not None else None
+    for operand in op.operands:
+        operand_type = operand.type
+        if operand_type is not None:
+            bits = operand_type.bit_width
+            if width is None or bits > width:
+                width = bits
+    return 32 if width is None else width
+
+
+class PriceTable:
+    """One technology's ``(delay_ns, area_ge)`` per operation shape.
+
+    A price depends only on the op's technology class and width; the
+    class depends only on its kind and operator spelling, so the table is
+    keyed by ``(kind, operator, width)`` and a design prices thousands of
+    ops from a few dozen entries.  The kind enters by id: an Enum
+    member's hash runs Python code."""
+
+    def __init__(self, technology: T.Technology = T.DEFAULT_TECH):
+        self.technology = technology
+        self._prices: Dict[Tuple[int, str, int], Tuple[float, float]] = {}
+
+    def __call__(self, op: Operation) -> Tuple[float, float]:
+        width = op_width(op)
+        key = (id(op.kind), op.op, width)
+        price = self._prices.get(key)
+        if price is None:
+            op_class = tech_class(op)
+            price = self._prices[key] = (
+                self.technology.delay_ns(op_class, width),
+                self.technology.area_ge(op_class, width),
+            )
+        return price
 
 
 def op_delay_ns(op: Operation, technology: T.Technology = T.DEFAULT_TECH) -> float:

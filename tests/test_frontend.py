@@ -13,8 +13,9 @@ import pytest
 
 import repro.lang.frontend as frontend_module
 import repro.lang.parser as parser_module
+from repro.analysis.timing import CheckRejected, enforce
 from repro.api import SynthesisOptions, synthesize
-from repro.fuzz import FuzzOptions, run_campaign
+from repro.fuzz import FuzzOptions, mutants, run_campaign
 from repro.lang import Frontend, ParseError, SemanticError, print_program
 from repro.lang.frontend import CAPACITY
 from repro.runner import CellTask, MatrixEngine, file_tasks
@@ -161,6 +162,27 @@ def test_synthesize_without_a_frontend_parses_afresh(parse_calls):
     assert parse_calls == [SOURCE] * 3
 
 
+def test_mutator_copies_only_for_kinds_with_sites(monkeypatch):
+    copies = []
+    original = Frontend.fresh
+
+    def counting(self, source, filename="<input>"):
+        copies.append(source)
+        return original(self, source, filename)
+
+    monkeypatch.setattr(Frontend, "fresh", counting)
+    # No binary operator to commute and no loop to rotate.
+    assert mutants("int main() { return 1; }",
+                   only=["commute", "rotate-loop"]) == []
+    assert copies == []
+    # SOURCE has two commutable operators, so three distinct mutants are
+    # out of reach and all 18 attempts run, alternating the two kinds:
+    # only the nine at "commute" copy the tree.
+    found = mutants(SOURCE, seed=3, only=["commute", "rotate-loop"])
+    assert len(found) == 2 and {m.name for m in found} == {"commute"}
+    assert len(copies) == 9
+
+
 # -- the engine ---------------------------------------------------------------
 
 
@@ -217,6 +239,63 @@ def test_engine_memory_is_bounded_and_results_survive_eviction():
     assert [r.value for r in again] == [0, 1, 2] + [
         CAPACITY + 37, CAPACITY + 38, CAPACITY + 39]
     assert len(engine.frontend) == CAPACITY
+
+
+SELF_RENDEZVOUS = """
+chan<int> c;
+int main(int a) {
+  send(c, a);
+  int x = recv(c);
+  return x;
+}
+"""
+
+
+def test_a_check_cell_parses_its_source_once(parse_calls):
+    tasks = [CellTask(workload="checked", source=source, flow="handelc",
+                      args=(4,), check=True)
+             for source in (SOURCE, SELF_RENDEZVOUS)]
+    results = MatrixEngine(jobs=1).run_cells(tasks)
+    assert parse_calls == [SOURCE, SELF_RENDEZVOUS]
+    assert [r.verdict for r in results] == ["ok", "rejected"]
+    # The checker's verdict reads as it does with a parse of its own.
+    with pytest.raises(CheckRejected) as caught:
+        enforce(SELF_RENDEZVOUS, "handelc")
+    assert results[1].rule == caught.value.rule
+    assert results[1].diagnostics == [caught.value.reason]
+    unchecked = MatrixEngine(jobs=1).run_cells(
+        [CellTask(workload="checked", source=SOURCE, flow="handelc",
+                  args=(4,))])
+    assert results[0].value == unchecked[0].value
+
+
+def test_golden_memo_is_bounded_like_the_frontend():
+    engine = MatrixEngine(jobs=1)
+    sources = [f"int main(int a) {{ return a + {n}; }}" for n in range(600)]
+
+    def golden(source):
+        return engine.golden_observable(
+            CellTask(workload="w", source=source, flow="c2verilog", args=(1,))
+        )
+
+    observed = []
+    for n, source in enumerate(sources):
+        observed.append(golden(source))
+        assert len(engine._golden) <= CAPACITY
+        if n == CAPACITY - 1:
+            golden(sources[0])       # a hit makes the key most recent
+    assert len(engine._golden) == CAPACITY
+    assert [o[0] for o in observed] == [n + 1 for n in range(600)]
+    assert (sources[0], "main", (1,)) in engine._golden
+    assert (sources[1], "main", (1,)) not in engine._golden
+    # Evicted keys recompute; every answer matches a new engine's.
+    for source, expected in zip(sources[:3] + sources[-3:],
+                                observed[:3] + observed[-3:]):
+        fresh = MatrixEngine(jobs=1).golden_observable(
+            CellTask(workload="w", source=source, flow="c2verilog", args=(1,))
+        )
+        assert golden(source) == expected == fresh
+    assert len(engine._golden) == CAPACITY
 
 
 # -- the campaign -------------------------------------------------------------

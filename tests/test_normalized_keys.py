@@ -52,3 +52,35 @@ def test_normalized_source_digest_is_stable(name):
     source = SOURCES[name]
     assert not normalized_source(source).startswith("raw:"), name
     assert _digest(source) == PINNED[name]
+
+
+def test_cell_keys_lex_each_distinct_source_once(monkeypatch):
+    import repro.lang.lexer as lexer
+    from repro.runner import cell_key, suite_tasks
+
+    lexed = []
+    original = lexer.tokenize
+
+    def counting(source, *args, **kwargs):
+        lexed.append(source)
+        return original(source, *args, **kwargs)
+
+    monkeypatch.setattr(lexer, "tokenize", counting)
+    normalized_source.cache_clear()
+    tasks = suite_tasks()
+    keys = [cell_key(task) for task in tasks]
+    assert len(lexed) == len({task.source for task in tasks}) == len(WORKLOADS)
+    assert len(tasks) == 10 * len(WORKLOADS)
+    # Memoized keys equal keys computed from a cold memo.
+    normalized_source.cache_clear()
+    assert [cell_key(task) for task in tasks] == keys
+    assert len(lexed) == 2 * len(WORKLOADS)
+
+
+def test_the_normalization_memo_is_bounded():
+    from repro.runner.cache import NORMALIZED_CAPACITY
+
+    normalized_source.cache_clear()
+    for n in range(NORMALIZED_CAPACITY + 10):
+        normalized_source(f"int main() {{ return {n}; }}")
+    assert normalized_source.cache_info().currsize == NORMALIZED_CAPACITY

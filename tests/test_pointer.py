@@ -193,3 +193,35 @@ def test_address_of_scalar_used_directly():
     plan = plan_for("int main() { int x = 4; return *(&x); }")
     # Dereferencing &x immediately needs no pointer variable at all.
     assert plan.stats.pointer_count == 0
+
+
+def _cones_programs():
+    from repro.fuzz import feature_mask
+    from repro.fuzz.grammar import generate_program
+    from repro.workloads import WORKLOADS
+
+    sources = [w.source for w in WORKLOADS]
+    for flow in ("cones", "c2verilog"):
+        sources += [generate_program(seed, feature_mask(flow)).source
+                    for seed in range(12)]
+    return sources
+
+
+def test_pointer_free_matches_the_plan_after_unrolling():
+    # Cones asks pointer_free() of the inlined function before unrolling
+    # and skips plan_pointers() on the unrolled one when it says yes: the
+    # plan it would have computed must be exactly the empty one.
+    from repro.analysis.pointer import PointerPlan, pointer_free
+    from repro.ir.passes import try_full_unroll
+
+    sources = _cones_programs()
+    free = 0
+    for source in sources:
+        program, info = parse(source)
+        fn = inline_program(program, info, roots=["main"])[0].function("main")
+        if pointer_free(fn):
+            free += 1
+            unrolled, _, _ = try_full_unroll(fn)
+            assert plan_pointers(unrolled) == PointerPlan()
+    # Both answers occur (the C2Verilog programs walk pointers).
+    assert 0 < free < len(sources)
