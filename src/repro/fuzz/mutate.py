@@ -12,8 +12,8 @@ surface on ones it can).
 
 Mutations take a private copy of the program's analyzed tree from a
 :class:`~repro.lang.Frontend` (one parse and one snapshot per source, one
-unpickled copy per attempt at a kind that has sites, counted on the
-shared tree), transform it, and pretty-print it back; a
+unpickled copy per attempt at a kind that has sites), transform it, and
+pretty-print it back; a
 mutant that fails to parse is discarded (never emitted), so every mutant
 handed to the campaign is a valid program.  Given the campaign engine's
 frontend, the parse of each kept mutant is the one its golden run and its
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..lang import ast_nodes as ast
 from ..lang.frontend import Frontend
@@ -395,7 +395,7 @@ def mutants(
     if frontend is None:
         frontend = Frontend()
     try:
-        shared, _ = frontend.parse(source)
+        frontend.parse(source)
     except Exception:
         return []
     rng = random.Random(seed)
@@ -411,20 +411,25 @@ def mutants(
 
     out: List[Mutant] = []
     seen = {source}
-    # Sites per kind, counted on the shared tree (collectors only read),
-    # so a kind without sites never pays for a private copy.
-    site_counts: Dict[str, int] = {}
+    # Kinds found to have no sites are not tried again, and the copy
+    # that showed it (collectors only read) serves the next attempt, so
+    # every copy but at most one is rewritten.
+    siteless = set()
+    spare = None
     attempts = 0
     while len(out) < count and attempts < count * 6:
         attempts += 1
         name = names[(seed + attempts) % len(names)]
-        collect, apply = catalog[name]
-        if name not in site_counts:
-            site_counts[name] = len(collect(shared))
-        if not site_counts[name]:
+        if name in siteless:
             continue
-        tree = frontend.fresh(source)
+        collect, apply = catalog[name]
+        tree = spare if spare is not None else frontend.fresh(source)
+        spare = None
         sites = collect(tree)
+        if not sites:
+            siteless.add(name)
+            spare = tree
+            continue
         index = rng.randrange(len(sites))
         apply(sites[index], rng, len(out))
         try:

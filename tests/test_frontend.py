@@ -171,13 +171,16 @@ def test_mutator_copies_only_for_kinds_with_sites(monkeypatch):
         return original(self, source, filename)
 
     monkeypatch.setattr(Frontend, "fresh", counting)
-    # No binary operator to commute and no loop to rotate.
+    # No binary operator to commute and no loop to rotate: one copy shows
+    # both kinds have no sites, and neither is tried again.
     assert mutants("int main() { return 1; }",
                    only=["commute", "rotate-loop"]) == []
-    assert copies == []
+    assert len(copies) == 1
     # SOURCE has two commutable operators, so three distinct mutants are
     # out of reach and all 18 attempts run, alternating the two kinds:
-    # only the nine at "commute" copy the tree.
+    # only the nine at "commute" need a copy (the first "rotate-loop"
+    # attempt's copy serves the next one).
+    copies.clear()
     found = mutants(SOURCE, seed=3, only=["commute", "rotate-loop"])
     assert len(found) == 2 and {m.name for m in found} == {"commute"}
     assert len(copies) == 9
