@@ -13,11 +13,10 @@ surface on ones it can).
 Mutations take a private copy of the program's analyzed tree from a
 :class:`~repro.lang.Frontend` (one parse and one snapshot per source, one
 unpickled copy per attempt at a kind that has sites), transform it, and
-pretty-print it back; a
-mutant that fails to parse is discarded (never emitted), so every mutant
-handed to the campaign is a valid program.  Given the campaign engine's
-frontend, the parse of each kept mutant is the one its golden run and its
-cells reuse.
+pretty-print it back; a mutant that fails to parse is discarded (never
+emitted), so every mutant handed to the campaign is a valid program.
+Given the campaign engine's frontend, the parse of each kept mutant is the
+one its golden run and its cells reuse.
 """
 
 from __future__ import annotations
